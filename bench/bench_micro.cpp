@@ -5,7 +5,6 @@
 
 #include "assembler/assembler.h"
 #include "bench_common.h"
-#include "expr/expression_cache.h"
 #include "ref/interpreter.h"
 #include "ref/progen.h"
 #include "common/slz.h"
@@ -43,7 +42,8 @@ void BM_IssInstruction(benchmark::State& state) {
   memory::MainMemory memory(config.memory.sizeBytes);
   auto loaded =
       assembler::LoadProgram(SortAssembly(), {}, config, memory, "main");
-  ref::Interpreter iss(loaded.value().program, memory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter iss(decoded, memory);
   iss.InitRegisters(loaded.value().initialSp);
   std::uint64_t instructions = 0;
   for (auto _ : state) {

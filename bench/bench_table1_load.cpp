@@ -14,7 +14,7 @@
 // queueing simulation over *measured* per-request service times (real
 // parse -> simulate 1 step -> serialize -> compress calls against the
 // in-process server). The Docker rows use the calibrated overhead model
-// (DESIGN.md substitution table). Shapes to reproduce: saturation between
+// (server/load_model.h). Shapes to reproduce: saturation between
 // 30 and 100 users (median inflates by an order of magnitude while
 // throughput roughly doubles) and Docker rows strictly slower than Direct.
 #include <algorithm>

@@ -34,6 +34,10 @@ class ExprParser {
   }
 
  private:
+  /// Bound on `(`, `-` and `%op(` nesting, like json::Parse's: the
+  /// recursive descent below cannot exhaust the stack on hostile operands.
+  static constexpr int kMaxDepth = 256;
+
   Error Fail(std::string message) const {
     return Error{ErrorKind::kParse, std::move(message), SourcePos{lineNo_, 0}};
   }
@@ -79,6 +83,17 @@ class ExprParser {
   }
 
   Result<std::int64_t> ParsePrimary() {
+    if (depth_ >= kMaxDepth) {
+      return Fail("operand expression nests deeper than " +
+                  std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    Result<std::int64_t> value = ParsePrimaryNested();
+    --depth_;
+    return value;
+  }
+
+  Result<std::int64_t> ParsePrimaryNested() {
     SkipSpace();
     if (pos_ >= text_.size()) return Fail("expected operand expression");
     char c = text_[pos_];
@@ -147,6 +162,7 @@ class ExprParser {
   const std::map<std::string, std::uint32_t>& symbols_;
   std::uint32_t lineNo_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< ParsePrimary recursion level (see kMaxDepth)
 };
 
 // ---------------------------------------------------------------------------

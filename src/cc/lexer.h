@@ -1,10 +1,10 @@
 // rvcc lexer: C subset tokenizer.
 //
 // rvcc is the repository's stand-in for the paper's GCC cross-compilation
-// path (DESIGN.md substitution table): C text in, RV32IMFD assembly out,
-// with per-line links between the two (the paper's highlighted C<->asm
-// mapping). The lexer produces a flat token vector with line/column
-// positions that survive into codegen as `#@c` line tags.
+// path: C text in, RV32IMFD assembly out, with per-line links between the
+// two (the paper's highlighted C<->asm mapping). The lexer produces a flat
+// token vector with line/column positions that survive into codegen as
+// `#@c` line tags.
 #pragma once
 
 #include <cstdint>

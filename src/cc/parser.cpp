@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <string>
 
 namespace rvss::cc {
 namespace {
@@ -77,6 +78,31 @@ class Parser {
     if (!ConsumePunct(text)) {
       return Fail("expected '" + std::string(text) + "', got '" + Cur().text +
                   "'");
+    }
+    return Status::Ok();
+  }
+
+  // ---- nesting budget -----------------------------------------------------
+
+  /// Bound on the nesting of the AST (and types) under construction, like
+  /// json::Parse's: each recursive production and each link of a left-deep
+  /// operator or postfix chain counts one level. Neither this parser nor
+  /// the optimizer and codegen passes that recurse over its output can then
+  /// exhaust the stack, whatever the source.
+  static constexpr int kMaxDepth = 256;
+
+  /// Restores the nesting level when a production returns.
+  struct DepthScope {
+    int& depth;
+    int saved = depth;
+    ~DepthScope() { depth = saved; }
+  };
+
+  /// Enters one more nesting level (undone by the enclosing DepthScope).
+  Status Nest() {
+    if (++depth_ > kMaxDepth) {
+      return Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                  " levels");
     }
     return Status::Ok();
   }
@@ -161,6 +187,8 @@ class Parser {
   }
 
   Result<TypePtr> StructRef() {
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     if (!At(TokenKind::kIdentifier)) return Fail("expected struct tag");
     std::string tag = Take().text;
     if (AtPunct("{")) {
@@ -205,7 +233,12 @@ class Parser {
   /// Parses a declarator over `base`: pointers, a (possibly parenthesized)
   /// name, and array/function suffixes. Returns (type, name).
   Result<std::pair<TypePtr, std::string>> Declarator(TypePtr base) {
-    while (ConsumePunct("*")) base = PointerTo(base);
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
+    while (ConsumePunct("*")) {
+      RVSS_RETURN_IF_ERROR(Nest());
+      base = PointerTo(base);
+    }
 
     if (ConsumePunct("(")) {
       // Parenthesized inner declarator (function pointers). Parse the
@@ -234,6 +267,8 @@ class Parser {
   }
 
   Result<TypePtr> TypeSuffix(TypePtr base) {
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     if (ConsumePunct("[")) {
       if (!At(TokenKind::kIntLiteral)) return Fail("expected array length");
       const std::int64_t length = Take().intValue;
@@ -382,6 +417,8 @@ class Parser {
   // ---- statements ----------------------------------------------------------
 
   Result<NodePtr> Statement() {
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     const SourcePos pos = Cur().pos;
     if (AtPunct("{")) {
       ++pos_;
@@ -561,8 +598,10 @@ class Parser {
   }
 
   Result<NodePtr> Expression() {
+    DepthScope scope{depth_};
     RVSS_ASSIGN_OR_RETURN(NodePtr node, Assignment());
     while (AtPunct(",")) {
+      RVSS_RETURN_IF_ERROR(Nest());
       SourcePos pos = Take().pos;
       NodePtr comma = MakeNode(NodeKind::kComma, pos);
       comma->lhs = std::move(node);
@@ -574,6 +613,8 @@ class Parser {
   }
 
   Result<NodePtr> Assignment() {
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     RVSS_ASSIGN_OR_RETURN(NodePtr lhs, Conditional());
     static constexpr std::string_view kAssignOps[] = {
         "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
@@ -604,6 +645,8 @@ class Parser {
   Result<NodePtr> Conditional() {
     RVSS_ASSIGN_OR_RETURN(NodePtr cond, LogicalOr());
     if (!ConsumePunct("?")) return cond;
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     SourcePos pos = Cur().pos;
     NodePtr node = MakeNode(NodeKind::kCond, pos);
     node->cond = std::move(cond);
@@ -629,11 +672,13 @@ class Parser {
   template <typename NextFn>
   Result<NodePtr> BinaryChain(NextFn next,
                               std::initializer_list<std::string_view> ops) {
+    DepthScope scope{depth_};
     RVSS_ASSIGN_OR_RETURN(NodePtr node, (this->*next)());
     while (true) {
       bool matched = false;
       for (std::string_view op : ops) {
         if (AtPunct(op)) {
+          RVSS_RETURN_IF_ERROR(Nest());
           SourcePos pos = Take().pos;
           RVSS_ASSIGN_OR_RETURN(NodePtr rhs, (this->*next)());
           RVSS_ASSIGN_OR_RETURN(
@@ -733,13 +778,15 @@ class Parser {
   }
 
   Result<NodePtr> Unary() {
+    DepthScope scope{depth_};
+    RVSS_RETURN_IF_ERROR(Nest());
     const SourcePos pos = Cur().pos;
     if (AtCastStart()) {
       ++pos_;  // '('
       bool isExtern = false;
       RVSS_ASSIGN_OR_RETURN(TypePtr base, DeclSpec(&isExtern));
       // Abstract declarator: pointers only (cast to array is not a thing).
-      while (ConsumePunct("*")) base = PointerTo(base);
+      RVSS_ASSIGN_OR_RETURN(base, AbstractPointers(base));
       RVSS_RETURN_IF_ERROR(ExpectPunct(")"));
       RVSS_ASSIGN_OR_RETURN(NodePtr operand, Unary());
       NodePtr node = MakeNode(NodeKind::kCast, pos);
@@ -818,7 +865,7 @@ class Parser {
         ++pos_;
         bool isExtern = false;
         RVSS_ASSIGN_OR_RETURN(TypePtr base, DeclSpec(&isExtern));
-        while (ConsumePunct("*")) base = PointerTo(base);
+        RVSS_ASSIGN_OR_RETURN(base, AbstractPointers(base));
         RVSS_RETURN_IF_ERROR(ExpectPunct(")"));
         node->intValue = base->size;
       } else {
@@ -830,9 +877,21 @@ class Parser {
     return Postfix();
   }
 
+  /// The `*`s of a cast's or sizeof's abstract declarator.
+  Result<TypePtr> AbstractPointers(TypePtr base) {
+    while (ConsumePunct("*")) {
+      RVSS_RETURN_IF_ERROR(Nest());
+      base = PointerTo(base);
+    }
+    return base;
+  }
+
   Result<NodePtr> Postfix() {
+    DepthScope scope{depth_};
     RVSS_ASSIGN_OR_RETURN(NodePtr node, Primary());
-    while (true) {
+    while (AtPunct("[") || AtPunct("(") || AtPunct(".") || AtPunct("->") ||
+           AtPunct("++") || AtPunct("--")) {
+      RVSS_RETURN_IF_ERROR(Nest());
       const SourcePos pos = Cur().pos;
       if (ConsumePunct("[")) {
         RVSS_ASSIGN_OR_RETURN(NodePtr index, Expression());
@@ -888,17 +947,15 @@ class Parser {
         RVSS_ASSIGN_OR_RETURN(node, MemberAccess(std::move(node), true, pos));
         continue;
       }
-      if (AtPunct("++") || AtPunct("--")) {
-        const std::string op = Take().text;
-        NodePtr post = MakeNode(NodeKind::kPostIncDec, pos);
-        post->op = op;
-        post->type = node->type;
-        post->lhs = std::move(node);
-        node = std::move(post);
-        continue;
-      }
-      return node;
+      // "++" / "--"
+      const std::string op = Take().text;
+      NodePtr post = MakeNode(NodeKind::kPostIncDec, pos);
+      post->op = op;
+      post->type = node->type;
+      post->lhs = std::move(node);
+      node = std::move(post);
     }
+    return node;
   }
 
   Status CallArguments(Node* call, const Type& fnType) {
@@ -1017,6 +1074,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< current nesting level (see kMaxDepth)
   TranslationUnit unit_;
   std::vector<std::map<std::string, Variable*>> scopes_;
   std::map<std::string, TypePtr> structTags_;

@@ -14,6 +14,7 @@
 #include "memory/dump.h"
 #include "memory/memory_initializer.h"
 #include "obs/registry.h"
+#include "server/api.h"
 #include "server/state_renderer.h"
 #include "shard/router.h"
 #include "shard/transport.h"
@@ -620,7 +621,7 @@ int RunSharded(const Options& options, const std::string& source,
   for (std::size_t i = 0; i < sessionCount; ++i) {
     json::Json created = router.Handle(create);
     if (created.GetString("status", "") != "ok") {
-      err << "error: " << created.GetString("message", "createSession failed")
+      err << "error: " << server::ErrorMessage(created, "createSession failed")
           << "\n";
       return 2;
     }
@@ -653,7 +654,7 @@ int RunSharded(const Options& options, const std::string& source,
     while (true) {
       json::Json report = runSlice(session, targetTotal - state.ranCycles);
       if (report.GetString("status", "") != "ok") {
-        state.error = report.GetString("message", "run failed");
+        state.error = server::ErrorMessage(report, "run failed");
         state.report = std::move(report);
         return;
       }
@@ -715,7 +716,7 @@ int RunSharded(const Options& options, const std::string& source,
           }());
       if (grown.GetString("status", "") != "ok") {
         err << "error: mid-run addWorker failed: "
-            << grown.GetString("message", "") << "\n";
+            << server::ErrorMessage(grown, "") << "\n";
         return 2;
       }
     }
@@ -726,7 +727,7 @@ int RunSharded(const Options& options, const std::string& source,
     json::Json drained = router.Handle(drain);
     if (drained.GetString("status", "") != "ok") {
       err << "error: mid-run migration failed: "
-          << drained.GetString("message", "") << "\n";
+          << server::ErrorMessage(drained, "") << "\n";
       return 2;
     }
     json::Json sessions = json::Json::MakeObject();

@@ -2,7 +2,7 @@
 // with runtime-statistics collection.
 //
 // The paper's CLI ships the program to a simulation server over HTTP; ours
-// hosts the same SimServer in-process (DESIGN.md substitution), so the
+// hosts the same SimServer in-process, so the
 // mandatory arguments match: an assembly (or C) source file and an
 // architecture description in JSON. Optional parameters select the entry
 // point, memory configuration, output format and verbosity.

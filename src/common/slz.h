@@ -2,10 +2,10 @@
 //
 // Lives in common/ (not server/) so that lower layers — the snapshot
 // codec compresses encoded session blobs — can use it too. Stand-in for
-// the gzip content-encoding in the paper's deployment
-// (DESIGN.md substitution table): the E3 experiment only needs a real
-// general-purpose compressor with a realistic ratio on JSON state payloads
-// (3-6x) and a realistic CPU cost, both of which byte-pair LZSS delivers.
+// the gzip content-encoding in the paper's deployment: the E3 experiment
+// only needs a real general-purpose compressor with a realistic ratio on
+// JSON state payloads (3-6x) and a realistic CPU cost, both of which
+// byte-pair LZSS delivers.
 //
 // Format: a 4-byte little-endian uncompressed size, then groups of eight
 // items preceded by a flag byte (bit set = match). Matches encode a

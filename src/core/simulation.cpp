@@ -102,7 +102,6 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   std::unique_ptr<Simulation> sim(
       new Simulation(config, std::move(loaded)));
   sim->memory_ = std::move(memorySystem);
-  sim->BuildPredecode();
   // Snapshot the loaded memory for the checkpoints-disabled ResetHard path.
   sim->initialMemoryImage_.assign(sim->memory_->memory().bytes().begin(),
                                   sim->memory_->memory().bytes().end());
@@ -133,6 +132,7 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
 Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded)
     : config_(std::move(config)),
       loaded_(std::move(loaded)),
+      decoded_(loaded_.program),
       predictor_(config_.predictor),
       rename_(config_.memory.renameRegisterCount),
       checkpoints_(config_.checkpoint.intervalCycles,
@@ -264,8 +264,7 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
   // The ISS executes directly on this simulation's memory (functional
   // stores land in place) and starts from the detailed model's reset
   // register state.
-  ref::Interpreter iss(loaded_.program, memory_->memory(),
-                       config_.trapOnDivZero);
+  ref::Interpreter iss(decoded_, memory_->memory(), config_.trapOnDivZero);
   ref::Interpreter::ArchState start;
   for (unsigned i = 0; i < 32; ++i) {
     start.x[i] = ReadIntReg(i);
@@ -558,26 +557,6 @@ void Simulation::MaybeCheckpoint() {
 // Small helpers
 // ---------------------------------------------------------------------------
 
-WindowKind Simulation::WindowFor(isa::OpClass opClass) const {
-  switch (opClass) {
-    case isa::OpClass::kIntAlu:
-    case isa::OpClass::kIntMul:
-    case isa::OpClass::kIntDiv:
-      return WindowKind::kFx;
-    case isa::OpClass::kFpAdd:
-    case isa::OpClass::kFpMul:
-    case isa::OpClass::kFpDiv:
-    case isa::OpClass::kFpFma:
-    case isa::OpClass::kFpOther:
-      return WindowKind::kFp;
-    case isa::OpClass::kMemAddr:
-      return WindowKind::kLs;
-    case isa::OpClass::kBranch:
-      return WindowKind::kBranch;
-  }
-  return WindowKind::kFx;
-}
-
 config::FunctionalUnitConfig::Kind Simulation::FuKindFor(
     WindowKind kind) const {
   switch (kind) {
@@ -615,8 +594,8 @@ std::span<const expr::Value> Simulation::GatherArgs(
 namespace {
 
 /// Resolves one FastForm leaf exactly as the stack machine would push it.
-inline expr::Value FastOperand(const expr::Expression::FastForm::Operand& op,
-                               const InFlight& inst) {
+inline expr::Value LeafValue(const expr::Expression::FastForm::Operand& op,
+                             const InFlight& inst) {
   switch (op.src) {
     case expr::Expression::FastForm::Operand::Src::kArg:
       return inst.operands[op.arg].value;
@@ -629,62 +608,6 @@ inline expr::Value FastOperand(const expr::Expression::FastForm::Operand& op,
 }
 
 }  // namespace
-
-void Simulation::BuildPredecode() {
-  predecoded_.clear();
-  predecoded_.reserve(loaded_.program.instructions.size());
-  for (const assembler::Instruction& inst : loaded_.program.instructions) {
-    const isa::InstructionDescription& def = *inst.def;
-    PredecodedOp op;
-    op.def = &def;
-    auto compiled = expressions_.Get(def);
-    if (compiled.ok()) {
-      op.expr = compiled.value();
-      op.fast = compiled.value()->fastForm();
-    } else {
-      op.exprError = compiled.error();
-    }
-    op.window = WindowFor(def.opClass);
-    op.operandCount = static_cast<std::uint8_t>(def.args.size());
-    op.isControl = def.IsControlFlow();
-    if (def.branch == isa::BranchKind::kConditional ||
-        def.branch == isa::BranchKind::kUnconditionalDirect) {
-      const int immIndex = def.ArgIndex("imm");
-      if (immIndex >= 0) {
-        op.branchImm = inst.operands[static_cast<std::size_t>(immIndex)].imm;
-      }
-    }
-    for (std::size_t i = 0; i < def.args.size() && i < op.operands.size();
-         ++i) {
-      const isa::ArgumentDescription& arg = def.args[i];
-      const assembler::Operand& operand = inst.operands[i];
-      PredecodedOperand& slot = op.operands[i];
-      slot.type = arg.type;
-      const bool isX0 = operand.isRegister &&
-                        operand.reg.kind == isa::RegisterKind::kInt &&
-                        operand.reg.index == 0;
-      if (arg.writeBack) {
-        if (operand.isRegister && !isX0) {
-          slot.kind = PredecodedOperand::Kind::kDest;
-          slot.reg = operand.reg;
-          ++op.destsNeeded;
-        } else {
-          slot.kind = PredecodedOperand::Kind::kDestX0;
-        }
-      } else if (!operand.isRegister) {
-        slot.kind = PredecodedOperand::Kind::kImmediate;
-        slot.fixed = expr::ImmediateToValue(operand.imm, arg.type);
-      } else if (isX0) {
-        slot.kind = PredecodedOperand::Kind::kZeroSource;
-        slot.fixed = expr::CellToValue(0, arg.type);
-      } else {
-        slot.kind = PredecodedOperand::Kind::kRegSource;
-        slot.reg = operand.reg;
-      }
-    }
-    predecoded_.push_back(std::move(op));
-  }
-}
 
 void Simulation::Finish(FinishReason reason) {
   finishReason_ = reason;
@@ -753,7 +676,7 @@ void Simulation::WriteDest(const InFlightPtr& inst, int argIndex,
 // ---------------------------------------------------------------------------
 
 void Simulation::FinalizeAlu(const InFlightPtr& inst) {
-  const PredecodedOp& pre = Predecoded(*inst);
+  const assembler::DecodedOp& pre = Decoded(*inst);
   if (pre.expr == nullptr) {
     inst->exception = pre.exprError;
     inst->resultsReady = true;
@@ -767,8 +690,8 @@ void Simulation::FinalizeAlu(const InFlightPtr& inst) {
     expr::EvalFlags flags;
     const expr::Value value =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      LeafValue(pre.fast.a, *inst),
+                                      LeafValue(pre.fast.b, *inst), flags)
             .ConvertTo(pre.fast.dstKind);
     if (config_.trapOnDivZero && flags.divByZero) {
       inst->exception = Error{
@@ -795,7 +718,7 @@ void Simulation::FinalizeAlu(const InFlightPtr& inst) {
 }
 
 void Simulation::FinalizeAddressGen(const InFlightPtr& inst) {
-  const PredecodedOp& pre = Predecoded(*inst);
+  const assembler::DecodedOp& pre = Decoded(*inst);
   if (pre.expr == nullptr) {
     inst->exception = pre.exprError;
     inst->resultsReady = true;
@@ -808,8 +731,8 @@ void Simulation::FinalizeAddressGen(const InFlightPtr& inst) {
     expr::EvalFlags flags;
     inst->effectiveAddress =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      LeafValue(pre.fast.a, *inst),
+                                      LeafValue(pre.fast.b, *inst), flags)
             .ConvertTo(expr::ValueKind::kUInt)
             .AsUInt32();
   } else {
@@ -857,7 +780,7 @@ void Simulation::FinalizeAddressGen(const InFlightPtr& inst) {
 
 void Simulation::ResolveBranch(const InFlightPtr& inst,
                                std::vector<InFlightPtr>& mispredicts) {
-  const PredecodedOp& pre = Predecoded(*inst);
+  const assembler::DecodedOp& pre = Decoded(*inst);
   if (pre.expr == nullptr) {
     inst->exception = pre.exprError;
     inst->resultsReady = true;
@@ -874,8 +797,8 @@ void Simulation::ResolveBranch(const InFlightPtr& inst,
     expr::EvalFlags flags;
     inst->branchTaken =
         expr::Expression::ApplyBinary(pre.fast.op,
-                                      FastOperand(pre.fast.a, *inst),
-                                      FastOperand(pre.fast.b, *inst), flags)
+                                      LeafValue(pre.fast.a, *inst),
+                                      LeafValue(pre.fast.b, *inst), flags)
             .AsBool();
     inst->branchTarget = inst->pc + static_cast<std::uint32_t>(pre.branchImm);
     if (inst->branchTaken) actualNext = inst->branchTarget;
@@ -1361,8 +1284,9 @@ void Simulation::StageDecode() {
     // Borrow the queue head; it is moved into the ROB at dispatch (every
     // early return below must leave the queue untouched).
     const InFlightPtr& inst = fetchQueue_.front();
-    const PredecodedOp& pre = Predecoded(*inst);
+    const assembler::DecodedOp& pre = Decoded(*inst);
     const isa::InstructionDescription& def = *pre.def;
+    using SlotKind = assembler::OperandSlot::Kind;
 
     // ---- resource checks (all-or-nothing, then mutate) ----
     if (rob_.size() >= config_.buffers.robSize) {
@@ -1393,22 +1317,22 @@ void Simulation::StageDecode() {
     // Sources first: an instruction reading and writing the same register
     // must see the *previous* mapping for its source.
     for (std::size_t i = 0; i < pre.operandCount; ++i) {
-      const PredecodedOperand& arg = pre.operands[i];
+      const assembler::OperandSlot& arg = pre.operands[i];
       OperandRuntime& runtime = inst->operands[i];
       runtime = OperandRuntime{};
       switch (arg.kind) {
-        case PredecodedOperand::Kind::kDest:
-        case PredecodedOperand::Kind::kDestX0:
+        case SlotKind::kDest:
+        case SlotKind::kDestX0:
           runtime.isDest = true;
           break;  // allocated below
-        case PredecodedOperand::Kind::kImmediate:
+        case SlotKind::kImmediate:
           runtime.value = arg.fixed;
           break;
-        case PredecodedOperand::Kind::kZeroSource:
+        case SlotKind::kZeroSource:
           runtime.isSource = true;
           runtime.value = arg.fixed;
           break;
-        case PredecodedOperand::Kind::kRegSource: {
+        case SlotKind::kRegSource: {
           runtime.isSource = true;
           if (auto tag = rename_.Lookup(arg.reg); tag.has_value()) {
             SpecRegister& reg = rename_.reg(*tag);
@@ -1428,7 +1352,7 @@ void Simulation::StageDecode() {
     }
     // Destinations. kDestX0 keeps the default destTag = -1 (discarded).
     for (std::size_t i = 0; i < pre.operandCount; ++i) {
-      if (pre.operands[i].kind != PredecodedOperand::Kind::kDest) continue;
+      if (pre.operands[i].kind != SlotKind::kDest) continue;
       auto allocation = rename_.AllocateAndMap(pre.operands[i].reg);
       // FreeCount was checked above; allocation cannot fail here.
       inst->operands[i].destTag = allocation->first;
@@ -1460,7 +1384,7 @@ void Simulation::StageFetch() {
     if (index >= loaded_.program.instructions.size()) return;
 
     const assembler::Instruction& decoded = loaded_.program.instructions[index];
-    const PredecodedOp& pre = predecoded_[index];
+    const assembler::DecodedOp& pre = decoded_[index];
     auto inst = std::make_shared<InFlight>();
     inst->seq = nextSeq_++;
     inst->inst = &decoded;

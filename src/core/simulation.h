@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "assembler/decoded_program.h"
 #include "assembler/loader.h"
 #include "common/log.h"
 #include "common/status.h"
@@ -41,7 +42,6 @@
 #include "core/checkpoint_ring.h"
 #include "core/inflight.h"
 #include "core/rename.h"
-#include "expr/expression_cache.h"
 #include "memory/memory_system.h"
 #include "predictor/predictors.h"
 #include "stats/simulation_statistics.h"
@@ -60,50 +60,7 @@ enum class FinishReason : std::uint8_t {
 const char* ToString(SimStatus status);
 const char* ToString(FinishReason reason);
 
-/// Issue-window identity (one per functional-unit class).
-enum class WindowKind : std::uint8_t { kFx, kFp, kLs, kBranch };
-
-/// Static routing of one operand slot, computed once at program load: the
-/// slot's classification plus any value that does not depend on runtime
-/// state (converted immediates, x0 reads).
-struct PredecodedOperand {
-  enum class Kind : std::uint8_t {
-    kImmediate,   ///< non-register operand; `fixed` holds the converted value
-    kZeroSource,  ///< x0 source; `fixed` holds the typed zero
-    kRegSource,   ///< register source, renamed at decode
-    kDestX0,      ///< write-back to x0 (or malformed dest): discarded
-    kDest,        ///< write-back register, allocated at decode
-  };
-  Kind kind = Kind::kImmediate;
-  isa::RegisterId reg;   ///< for kRegSource / kDest
-  isa::ArgType type{};   ///< declared argument type
-  expr::Value fixed;     ///< for kImmediate / kZeroSource
-};
-
-/// One fully predecoded static instruction — everything the per-cycle
-/// stages would otherwise recompute for every dynamic instance: the
-/// resolved definition, the compiled semantics expression, operand routing,
-/// and the pc-relative branch offset (kills the ArgIndex("imm") string
-/// lookups in fetch and branch resolution).
-///
-/// Derived entirely from the immutable (program, ISA) pair, so the table is
-/// built once in Create and never snapshotted: checkpoint/session restores
-/// rebuild nothing, and ring/snapshot byte accounting counts it as zero.
-struct PredecodedOp {
-  const isa::InstructionDescription* def = nullptr;
-  const expr::Expression* expr = nullptr;  ///< null when compilation failed
-  std::optional<Error> exprError;          ///< surfaced at execute time
-  WindowKind window = WindowKind::kFx;
-  std::uint8_t operandCount = 0;
-  std::uint8_t destsNeeded = 0;  ///< rename registers required at decode
-  bool isControl = false;
-  std::int32_t branchImm = 0;  ///< pc-relative offset (conditional / jal)
-  /// Compile-time shape of the semantics expression; when recognized the
-  /// finalizers apply the operator directly instead of running the stack
-  /// machine (copied from expr so the hot path has one indirection fewer).
-  expr::Expression::FastForm fast;
-  std::array<PredecodedOperand, 4> operands{};
-};
+using assembler::WindowKind;
 
 /// Runtime state of one functional unit.
 struct FunctionalUnit {
@@ -286,6 +243,8 @@ class Simulation {
 
   const config::CpuConfig& config() const { return config_; }
   const assembler::Program& program() const { return loaded_.program; }
+  /// The per-PC decode both this core and its fast-forward ISS read.
+  const assembler::DecodedProgram& decodedProgram() const { return decoded_; }
   const stats::SimulationStatistics& statistics() const { return stats_; }
   const memory::MemorySystem& memorySystem() const { return *memory_; }
   memory::MemorySystem& memorySystem() { return *memory_; }
@@ -370,17 +329,14 @@ class Simulation {
   /// vector-returning GatherArgs (no allocation).
   std::span<const expr::Value> GatherArgs(
       const InFlight& inst, std::array<expr::Value, 4>& scratch) const;
-  WindowKind WindowFor(isa::OpClass opClass) const;
   config::FunctionalUnitConfig::Kind FuKindFor(WindowKind kind) const;
 
   /// Installs a fast-forward seed's registers, PC and stats annotation
   /// into the current (freshly reset) state.
   void ApplyFastForwardSeed(const FastForwardSeed& seed);
 
-  /// Builds predecoded_ from the loaded program (Create-time only).
-  void BuildPredecode();
-  const PredecodedOp& Predecoded(const InFlight& inst) const {
-    return predecoded_[static_cast<std::size_t>(
+  const assembler::DecodedOp& Decoded(const InFlight& inst) const {
+    return decoded_[static_cast<std::size_t>(
         inst.inst - loaded_.program.instructions.data())];
   }
 
@@ -388,10 +344,10 @@ class Simulation {
   assembler::LoadedProgram loaded_;                // snapshot: derived
   std::vector<std::uint8_t> initialMemoryImage_;   // snapshot: derived
   std::uint64_t memoryBaseEpoch_ = 0;              // snapshot: derived
-  /// Predecode cache, parallel to loaded_.program.instructions (pc = 4*i).
-  /// Derived state: never snapshotted, never invalidated (program is
-  /// immutable for the simulation's lifetime).
-  std::vector<PredecodedOp> predecoded_;  // snapshot: derived
+  /// Parallel to loaded_.program.instructions (pc = 4*i); shared with the
+  /// fast-forward ISS. Derived entirely from the immutable (program, ISA)
+  /// pair: never snapshotted, never invalidated, zero ring/snapshot bytes.
+  assembler::DecodedProgram decoded_;  // snapshot: derived
   /// Reusable evaluation scratch for the execution finalizers; its writes
   /// vector keeps its capacity across cycles (see expr::EvaluateInto).
   expr::EvalResult evalScratch_;  // snapshot: derived
@@ -400,7 +356,6 @@ class Simulation {
   predictor::PredictorUnit predictor_;
   ArchRegisterFile arch_;
   RenameState rename_;
-  expr::ExpressionCache expressions_;  // snapshot: derived
   stats::SimulationStatistics stats_;
   SimLog log_;
 

@@ -56,7 +56,7 @@ class Expression {
   };
 
   /// Recognized shape of the whole expression, analyzed once at compile
-  /// time so per-PC callers (the simulator's predecode cache) can execute
+  /// time so per-PC callers (assembler::DecodedProgram) can execute
   /// the overwhelmingly common instruction semantics — `a OP b -> rd` and
   /// `a OP b` — directly, without running the stack machine.
   struct FastForm {

@@ -24,33 +24,6 @@ constexpr std::string_view kKnownCommands[] = {
     "removeWorker", "rebalance", "shutdownWorker",
 };
 
-/// Canonicalizes a metric name arriving from a (possibly older) worker:
-/// snake_case runs within each dot-separated segment fold into camelCase
-/// humps ("shard.lane.queue_wait_us" -> "shard.lane.queueWaitUs"), so a
-/// fleet merge during a rolling upgrade never splits one logical metric
-/// across two keys. Already-camelCase names pass through unchanged.
-std::string CanonicalMetricName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  bool upperNext = false;
-  for (const char c : name) {
-    if (c == '_') {
-      upperNext = true;
-      continue;
-    }
-    if (c == '.') {
-      upperNext = false;
-      out.push_back(c);
-      continue;
-    }
-    out.push_back(upperNext && c >= 'a' && c <= 'z'
-                      ? static_cast<char>(c - 'a' + 'A')
-                      : c);
-    upperNext = false;
-  }
-  return out;
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -167,11 +140,10 @@ void MergeMetricsJson(json::Json& into, const json::Json& from) {
     json::Json& mine = section(into, "counters");
     for (const auto& [name, value] : counters->AsObject()) {
       if (!value.IsNumber()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      const json::Json* existing = mine.Find(canonical);
+      const json::Json* existing = mine.Find(name);
       const std::int64_t base =
           existing != nullptr && existing->IsNumber() ? existing->AsInt() : 0;
-      mine.Set(canonical, base + value.AsInt());
+      mine.Set(name, base + value.AsInt());
     }
   }
 
@@ -180,12 +152,11 @@ void MergeMetricsJson(json::Json& into, const json::Json& from) {
     json::Json& mine = section(into, "gauges");
     for (const auto& [name, value] : gauges->AsObject()) {
       if (!value.IsNumber()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      const json::Json* existing = mine.Find(canonical);
+      const json::Json* existing = mine.Find(name);
       const double base = existing != nullptr && existing->IsNumber()
                               ? existing->AsDouble()
                               : 0.0;
-      mine.Set(canonical, std::max(base, value.AsDouble()));
+      mine.Set(name, std::max(base, value.AsDouble()));
     }
   }
 
@@ -194,10 +165,9 @@ void MergeMetricsJson(json::Json& into, const json::Json& from) {
     json::Json& mine = section(into, "histograms");
     for (const auto& [name, node] : histograms->AsObject()) {
       if (!node.IsObject()) continue;
-      const std::string canonical = CanonicalMetricName(name);
-      json::Json* existing = mine.Find(canonical);
+      json::Json* existing = mine.Find(name);
       if (existing == nullptr || !existing->IsObject()) {
-        mine.Set(canonical, node);
+        mine.Set(name, node);
         continue;
       }
       existing->Set("count",

@@ -15,95 +15,35 @@ const char* ToString(ExitReason reason) {
   return "unknown";
 }
 
-Interpreter::Interpreter(const assembler::Program& program,
+Interpreter::Interpreter(const assembler::DecodedProgram& program,
                          memory::MainMemory& memory, bool trapOnDivZero)
-    : program_(program), memory_(memory), trapOnDivZero_(trapOnDivZero) {
-  pc_ = program.entryPc;
+    : program_(program),
+      memory_(memory),
+      trapOnDivZero_(trapOnDivZero),
+      pc_(program.entryPc()) {}
 
-  // Predecode: compile every static instruction once and resolve its
-  // fast-form operand routing, so the execute loop touches no hash maps
-  // and allocates nothing for fast-formable instructions.
-  using FastForm = expr::Expression::FastForm;
-  pre_.resize(program.instructions.size());
-  for (std::size_t i = 0; i < program.instructions.size(); ++i) {
-    const assembler::Instruction& inst = program.instructions[i];
-    const isa::InstructionDescription& def = *inst.def;
-    Predecoded& pre = pre_[i];
-    pre.typeIndex = static_cast<std::uint8_t>(def.type);
-    pre.flops = def.flops;
-    if (def.isHalt) {
-      pre.path = FastPath::kHalt;
-      continue;
-    }
-    auto compiled = expressions_.Get(def);
-    if (!compiled.ok()) continue;  // StepOne faults on first execution
-    pre.expr = compiled.value();
-    pre.fast = pre.expr->fastForm();
-    if (pre.fast.kind == FastForm::Kind::kBinaryAssign && !def.IsMemory() &&
-        def.branch == isa::BranchKind::kNone) {
-      pre.path = FastPath::kAlu;
-    } else if (pre.fast.kind == FastForm::Kind::kBinaryValue) {
-      if (def.IsMemory()) {
-        pre.path = FastPath::kMemAddress;
-      } else if (def.branch == isa::BranchKind::kConditional) {
-        pre.path = FastPath::kCondBranch;
-      }
-    }
-    const auto resolve = [&](const FastForm::Operand& op) {
-      FastOperand out;
-      switch (op.src) {
-        case FastForm::Operand::Src::kLiteral:
-          out.constant = expr::Value::Int(op.literal);
-          break;
-        case FastForm::Operand::Src::kPc:
-          out.src = FastOperand::Src::kPc;
-          break;
-        case FastForm::Operand::Src::kArg: {
-          const isa::ArgumentDescription& arg = def.args[op.arg];
-          const assembler::Operand& operand = inst.operands[op.arg];
-          if (operand.isRegister) {
-            out.src = FastOperand::Src::kReg;
-            out.isInt = operand.reg.kind == isa::RegisterKind::kInt;
-            out.index = operand.reg.index;
-            out.type = arg.type;
-          } else {
-            out.constant = expr::ImmediateToValue(operand.imm, arg.type);
-          }
-          break;
-        }
-      }
-      return out;
-    };
-    if (pre.fast.kind != FastForm::Kind::kNone) {
-      pre.fastA = resolve(pre.fast.a);
-      pre.fastB = resolve(pre.fast.b);
-    }
-    if (pre.fast.kind == FastForm::Kind::kBinaryAssign) {
-      const assembler::Operand& dst = inst.operands[pre.fast.dstArg];
-      pre.dstIsInt = dst.reg.kind == isa::RegisterKind::kInt;
-      pre.dstIndex = dst.reg.index;
-      pre.dstType = def.args[pre.fast.dstArg].type;
-    }
-    if (def.branch == isa::BranchKind::kConditional) {
-      const int immIndex = def.ArgIndex("imm");
-      if (immIndex >= 0) {
-        pre.branchImm = inst.operands[static_cast<std::size_t>(immIndex)].imm;
-      }
-    }
+expr::Value Interpreter::LeafValue(
+    const expr::Expression::FastForm::Operand& leaf,
+    const assembler::DecodedOp& op) const {
+  switch (leaf.src) {
+    case expr::Expression::FastForm::Operand::Src::kArg:
+      return SlotValue(op.operands[leaf.arg]);
+    case expr::Expression::FastForm::Operand::Src::kLiteral:
+      return expr::Value::Int(leaf.literal);
+    case expr::Expression::FastForm::Operand::Src::kPc:
+      break;
   }
+  return expr::Value::Int(static_cast<std::int32_t>(pc_));
 }
 
-expr::Value Interpreter::FastOperandValue(const FastOperand& op) const {
-  switch (op.src) {
-    case FastOperand::Src::kConst:
-      break;
-    case FastOperand::Src::kPc:
-      return expr::Value::Int(static_cast<std::int32_t>(pc_));
-    case FastOperand::Src::kReg:
-      return expr::CellToValue(op.isInt ? x_[op.index] : f_[op.index],
-                               op.type);
+void Interpreter::WriteSlot(const assembler::OperandSlot& slot,
+                            std::uint64_t cell) {
+  if (slot.kind != assembler::OperandSlot::Kind::kDest) return;
+  if (slot.reg.kind == isa::RegisterKind::kInt) {
+    x_[slot.reg.index] = cell;
+  } else {
+    f_[slot.reg.index] = cell;
   }
-  return op.constant;
 }
 
 void Interpreter::InitRegisters(std::uint32_t initialSp) {
@@ -111,7 +51,7 @@ void Interpreter::InitRegisters(std::uint32_t initialSp) {
   f_.fill(0);
   x_[isa::kSpReg] = initialSp;
   x_[isa::kRaReg] = isa::kExitAddress;
-  pc_ = program_.entryPc;
+  pc_ = program_.entryPc();
 }
 
 ExitReason Interpreter::Fault(std::string message) {
@@ -124,135 +64,100 @@ ExitReason Interpreter::StepOne() {
   if (pc_ % 4 != 0) {
     return Fault(StrFormat("misaligned PC 0x%08x", pc_));
   }
-  if (index >= program_.instructions.size()) {
+  if (index >= program_.size()) {
     return ExitReason::kRanOffCode;
   }
-  // Fast paths: predecoded binary forms skip the gather / stack-machine /
-  // write-effect plumbing, and the one-byte dispatch tag avoids touching
-  // the instruction description at all on the common paths.
-  const Predecoded& pre = pre_[index];
-  switch (pre.path) {
-    case FastPath::kHalt:
+  // Fast paths: binary forms skip the gather / stack-machine / write-effect
+  // plumbing, and the one-byte dispatch tag avoids touching the
+  // instruction description at all on the common paths.
+  const assembler::DecodedOp& op = program_[index];
+  switch (op.path) {
+    case assembler::FastPath::kHalt:
       ++stats_.executedInstructions;
-      ++stats_.mixByType[pre.typeIndex];
+      ++stats_.mixByType[op.typeIndex];
       return ExitReason::kHalted;
-    case FastPath::kAlu: {
+    case assembler::FastPath::kAlu: {
       expr::EvalFlags flags;
       const expr::Value value =
-          expr::Expression::ApplyBinary(pre.fast.op,
-                                        FastOperandValue(pre.fastA),
-                                        FastOperandValue(pre.fastB), flags)
-              .ConvertTo(pre.fast.dstKind);
+          expr::Expression::ApplyBinary(op.fast.op, LeafValue(op.fast.a, op),
+                                        LeafValue(op.fast.b, op), flags)
+              .ConvertTo(op.fast.dstKind);
       if (trapOnDivZero_ && flags.divByZero) {
         return Fault(StrFormat("division by zero at pc 0x%08x", pc_));
       }
-      const std::uint64_t cell = expr::ValueToCell(value, pre.dstType);
-      if (pre.dstIsInt) {
-        if (pre.dstIndex != 0) x_[pre.dstIndex] = cell;
-      } else {
-        f_[pre.dstIndex] = cell;
-      }
+      const assembler::OperandSlot& dst = op.operands[op.fast.dstArg];
+      WriteSlot(dst, expr::ValueToCell(value, dst.type));
       ++stats_.executedInstructions;
-      ++stats_.mixByType[pre.typeIndex];
-      stats_.flops += pre.flops;
+      ++stats_.mixByType[op.typeIndex];
+      stats_.flops += op.flops;
       pc_ += 4;
       return ExitReason::kRunning;
     }
-    case FastPath::kCondBranch: {
+    case assembler::FastPath::kCondBranch: {
       expr::EvalFlags flags;
       const bool taken =
-          expr::Expression::ApplyBinary(pre.fast.op,
-                                        FastOperandValue(pre.fastA),
-                                        FastOperandValue(pre.fastB), flags)
+          expr::Expression::ApplyBinary(op.fast.op, LeafValue(op.fast.a, op),
+                                        LeafValue(op.fast.b, op), flags)
               .AsBool();
       ++stats_.executedInstructions;
-      ++stats_.mixByType[pre.typeIndex];
+      ++stats_.mixByType[op.typeIndex];
       if (taken) {
         ++stats_.takenBranches;
-        pc_ += static_cast<std::uint32_t>(pre.branchImm);
+        pc_ += static_cast<std::uint32_t>(op.branchImm);
       } else {
         ++stats_.notTakenBranches;
         pc_ += 4;
       }
       return ExitReason::kRunning;
     }
-    case FastPath::kMemAddress: {
+    case assembler::FastPath::kMemAddress: {
       expr::EvalFlags flags;
       const std::uint32_t address =
-          expr::Expression::ApplyBinary(pre.fast.op,
-                                        FastOperandValue(pre.fastA),
-                                        FastOperandValue(pre.fastB), flags)
+          expr::Expression::ApplyBinary(op.fast.op, LeafValue(op.fast.a, op),
+                                        LeafValue(op.fast.b, op), flags)
               .ConvertTo(expr::ValueKind::kUInt)
               .AsUInt32();
       ++stats_.executedInstructions;
-      ++stats_.mixByType[pre.typeIndex];
-      stats_.flops += pre.flops;
-      const assembler::Instruction& inst = program_.instructions[index];
-      return FinishMemory(inst, *inst.def, address);
+      ++stats_.mixByType[op.typeIndex];
+      stats_.flops += op.flops;
+      return FinishMemory(op, address);
     }
-    case FastPath::kSlow:
+    case assembler::FastPath::kSlow:
       break;
   }
 
-  const assembler::Instruction& inst = program_.instructions[index];
-  const isa::InstructionDescription& def = *inst.def;
-
-  // Gather argument values.
-  expr::Value args[4];
-  for (std::size_t i = 0; i < def.args.size(); ++i) {
-    const isa::ArgumentDescription& arg = def.args[i];
-    const assembler::Operand& operand = inst.operands[i];
-    if (arg.writeBack) continue;  // destinations push references, not values
-    if (operand.isRegister) {
-      const std::uint64_t cell = operand.reg.kind == isa::RegisterKind::kInt
-                                     ? x_[operand.reg.index]
-                                     : f_[operand.reg.index];
-      args[i] = expr::CellToValue(cell, arg.type);
-    } else {
-      args[i] = expr::ImmediateToValue(operand.imm, arg.type);
-    }
+  const isa::InstructionDescription& def = *op.def;
+  if (op.expr == nullptr) {
+    return Fault("bad semantics for '" + def.name +
+                 "': " + op.exprError->message);
   }
-
-  if (pre.expr == nullptr) {
-    // Predecode failed; recompile only to surface the original message.
-    auto compiled = expressions_.Get(def);
-    return Fault("bad semantics for '" + def.name + "': " +
-                 compiled.error().message);
+  expr::Value args[assembler::kMaxOperands];
+  for (std::size_t i = 0; i < op.operandCount; ++i) {
+    args[i] = SlotValue(op.operands[i]);
   }
   expr::EvalResult& result = evalScratch_;
-  pre.expr->EvaluateInto(std::span<const expr::Value>(args, def.args.size()),
-                         pc_, result);
+  op.expr->EvaluateInto(std::span<const expr::Value>(args, op.operandCount),
+                        pc_, result);
 
   if (trapOnDivZero_ && result.flags.divByZero) {
     return Fault(StrFormat("division by zero at pc 0x%08x", pc_));
   }
 
   // Apply register write-backs.
-  auto writeReg = [&](int argIndex, expr::Value value) {
-    const isa::ArgumentDescription& arg =
-        def.args[static_cast<std::size_t>(argIndex)];
-    const assembler::Operand& operand =
-        inst.operands[static_cast<std::size_t>(argIndex)];
-    const std::uint64_t cell = expr::ValueToCell(value, arg.type);
-    if (operand.reg.kind == isa::RegisterKind::kInt) {
-      if (operand.reg.index != 0) x_[operand.reg.index] = cell;
-    } else {
-      f_[operand.reg.index] = cell;
-    }
-  };
   for (const expr::WriteEffect& write : result.writes) {
-    writeReg(write.argIndex, write.value);
+    const assembler::OperandSlot& dst =
+        op.operands[static_cast<std::size_t>(write.argIndex)];
+    WriteSlot(dst, expr::ValueToCell(write.value, dst.type));
   }
 
   ++stats_.executedInstructions;
-  ++stats_.mixByType[static_cast<std::size_t>(def.type)];
-  stats_.flops += def.flops;
+  ++stats_.mixByType[op.typeIndex];
+  stats_.flops += op.flops;
 
   // Memory operations.
   if (def.IsMemory()) {
     return FinishMemory(
-        inst, def,
-        result.stackTop->ConvertTo(expr::ValueKind::kUInt).AsUInt32());
+        op, result.stackTop->ConvertTo(expr::ValueKind::kUInt).AsUInt32());
   }
 
   // Control flow.
@@ -264,9 +169,7 @@ ExitReason Interpreter::StepOne() {
       const bool taken = result.stackTop->AsBool();
       if (taken) {
         ++stats_.takenBranches;
-        const int immIndex = def.ArgIndex("imm");
-        pc_ = pc_ + static_cast<std::uint32_t>(
-                        inst.operands[static_cast<std::size_t>(immIndex)].imm);
+        pc_ += static_cast<std::uint32_t>(op.branchImm);
       } else {
         ++stats_.notTakenBranches;
         pc_ += 4;
@@ -280,7 +183,7 @@ ExitReason Interpreter::StepOne() {
       if (target == isa::kExitAddress) {
         return ExitReason::kMainReturned;
       }
-      if (target % 4 != 0 || target / 4 >= program_.instructions.size()) {
+      if (target % 4 != 0 || target / 4 >= program_.size()) {
         return Fault(StrFormat("jump to invalid address 0x%08x", target));
       }
       pc_ = target;
@@ -290,43 +193,30 @@ ExitReason Interpreter::StepOne() {
   return ExitReason::kRunning;
 }
 
-ExitReason Interpreter::FinishMemory(const assembler::Instruction& inst,
-                                     const isa::InstructionDescription& def,
+ExitReason Interpreter::FinishMemory(const assembler::DecodedOp& op,
                                      std::uint32_t address) {
-  if (!memory_.InBounds(address, def.mem.sizeBytes)) {
+  const isa::MemAccess& mem = op.def->mem;
+  if (!memory_.InBounds(address, mem.sizeBytes)) {
     return Fault(StrFormat("memory access out of bounds: 0x%08x (size %u)",
-                           address, def.mem.sizeBytes));
+                           address, mem.sizeBytes));
   }
-  if (def.mem.isLoad) {
-    std::uint64_t raw = memory_.ReadBytes(address, def.mem.sizeBytes);
-    std::uint64_t cell;
-    if (def.mem.isFloat) {
-      cell = def.mem.sizeBytes == 4
-                 ? NanBoxFloat(static_cast<std::uint32_t>(raw))
-                 : raw;
-      f_[inst.operands[0].reg.index] = cell;
-    } else {
-      if (def.mem.isSigned) {
-        cell = static_cast<std::uint64_t>(
-            SignExtend(raw, def.mem.sizeBytes * 8));
-      } else {
-        cell = raw;
+  // Operand 0 is the loaded register, or a store's data register (rs2).
+  const assembler::OperandSlot& reg = op.operands[0];
+  if (mem.isLoad) {
+    const std::uint64_t raw = memory_.ReadBytes(address, mem.sizeBytes);
+    std::uint64_t cell = raw;
+    if (mem.isFloat) {
+      if (mem.sizeBytes == 4) {
+        cell = NanBoxFloat(static_cast<std::uint32_t>(raw));
       }
-      if (inst.operands[0].reg.index != 0) {
-        x_[inst.operands[0].reg.index] = cell;
-      }
+    } else if (mem.isSigned) {
+      cell = static_cast<std::uint64_t>(SignExtend(raw, mem.sizeBytes * 8));
     }
+    WriteSlot(reg, cell);
   } else {
-    // Store: operand 0 is rs2 (the data register).
-    const assembler::Operand& data = inst.operands[0];
-    std::uint64_t cell = data.reg.kind == isa::RegisterKind::kInt
-                             ? x_[data.reg.index]
-                             : f_[data.reg.index];
-    std::uint64_t raw = cell;
-    if (def.mem.isFloat && def.mem.sizeBytes == 4) {
-      raw = UnboxFloat(cell);
-    }
-    memory_.WriteBytes(address, def.mem.sizeBytes, raw);
+    std::uint64_t raw = RegCell(reg.reg);
+    if (mem.isFloat && mem.sizeBytes == 4) raw = UnboxFloat(raw);
+    memory_.WriteBytes(address, mem.sizeBytes, raw);
   }
   pc_ += 4;
   return ExitReason::kRunning;

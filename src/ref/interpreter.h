@@ -1,8 +1,9 @@
 // Golden-model instruction-set simulator.
 //
 // A deliberately simple in-order, one-instruction-at-a-time interpreter
-// over the *same* instruction definitions and expression semantics as the
-// out-of-order core. It serves three purposes:
+// over the *same* decoded program (assembler::DecodedProgram: definitions,
+// compiled semantics, operand routing) as the out-of-order core. It serves
+// three purposes:
 //   1. differential oracle — the OoO core must produce the identical
 //      architectural state on every program and configuration,
 //   2. fast batch execution for the compiler's own tests,
@@ -12,12 +13,10 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "assembler/decoded_program.h"
 #include "assembler/loader.h"
-#include "assembler/program.h"
 #include "common/status.h"
-#include "expr/expression_cache.h"
 #include "expr/reg_value.h"
 #include "isa/abi.h"
 #include "memory/main_memory.h"
@@ -47,8 +46,9 @@ struct InterpreterStats {
 class Interpreter {
  public:
   /// `memory` must already contain the program's data (see LoadProgram).
-  Interpreter(const assembler::Program& program, memory::MainMemory& memory,
-              bool trapOnDivZero = false);
+  /// `program` is read, never copied, and must outlive the interpreter.
+  Interpreter(const assembler::DecodedProgram& program,
+              memory::MainMemory& memory, bool trapOnDivZero = false);
 
   /// Installs sp / ra and the entry PC. Call before Run/StepOne.
   void InitRegisters(std::uint32_t initialSp);
@@ -60,6 +60,7 @@ class Interpreter {
   ExitReason StepOne();
 
   std::uint32_t pc() const { return pc_; }
+  const assembler::DecodedProgram& program() const { return program_; }
   const InterpreterStats& stats() const { return stats_; }
   /// Fault details when the exit reason was kFault.
   const std::optional<Error>& fault() const { return fault_; }
@@ -91,57 +92,27 @@ class Interpreter {
  private:
   ExitReason Fault(std::string message);
 
-  /// One leaf of a fast-form expression with its routing resolved at
-  /// predecode time: immediates are already converted to a Value, register
-  /// reads know their file and conversion kind.
-  struct FastOperand {
-    enum class Src : std::uint8_t { kConst, kReg, kPc };
-    Src src = Src::kConst;
-    bool isInt = true;        ///< integer vs floating-point register file
-    std::uint8_t index = 0;   ///< register index for kReg
-    isa::ArgType type = isa::ArgType::kInt;  ///< CellToValue conversion
-    expr::Value constant;     ///< pre-converted value for kConst
-  };
-
-  /// Which specialized execute path a static instruction takes; resolved
-  /// once at predecode so StepOne dispatches on one byte instead of
-  /// re-deriving it from the instruction description every step.
-  enum class FastPath : std::uint8_t {
-    kSlow,        ///< full gather / stack machine / write-effect path
-    kAlu,         ///< kBinaryAssign, no memory, no branch
-    kCondBranch,  ///< kBinaryValue conditional branch
-    kMemAddress,  ///< kBinaryValue effective address of a load/store
-    kHalt,        ///< ecall / ebreak
-  };
-
-  /// Everything StepOne would otherwise re-derive on every dynamic
-  /// instance of a static instruction: the compiled expression, the
-  /// recognized fast form with resolved operands, and the branch offset.
-  /// Indexed by pc / 4, built once in the constructor.
-  struct Predecoded {
-    const expr::Expression* expr = nullptr;  ///< null: semantics rejected
-    expr::Expression::FastForm fast{};
-    FastOperand fastA, fastB;
-    FastPath path = FastPath::kSlow;
-    bool dstIsInt = true;     ///< fast-form destination register routing
-    std::uint8_t dstIndex = 0;
-    isa::ArgType dstType = isa::ArgType::kInt;
-    std::uint8_t typeIndex = 0;  ///< def.type, for the dynamic mix
-    std::uint8_t flops = 0;      ///< def.flops
-    std::int32_t branchImm = 0;  ///< conditional-branch offset
-  };
-
-  expr::Value FastOperandValue(const FastOperand& op) const;
-  /// Bounds-checks `address` and performs the load or store of `def`.
-  ExitReason FinishMemory(const assembler::Instruction& inst,
-                          const isa::InstructionDescription& def,
+  std::uint64_t RegCell(isa::RegisterId reg) const {
+    return reg.kind == isa::RegisterKind::kInt ? x_[reg.index] : f_[reg.index];
+  }
+  /// Current value of a source slot (dest slots read as an empty Value,
+  /// exactly like the stack machine's unbound write-back arguments).
+  expr::Value SlotValue(const assembler::OperandSlot& slot) const {
+    return slot.kind == assembler::OperandSlot::Kind::kRegSource
+               ? expr::CellToValue(RegCell(slot.reg), slot.type)
+               : slot.fixed;
+  }
+  expr::Value LeafValue(const expr::Expression::FastForm::Operand& leaf,
+                        const assembler::DecodedOp& op) const;
+  /// Register write-back through a dest slot; x0 dests are discarded.
+  void WriteSlot(const assembler::OperandSlot& slot, std::uint64_t cell);
+  /// Bounds-checks `address` and performs the load or store of `op`.
+  ExitReason FinishMemory(const assembler::DecodedOp& op,
                           std::uint32_t address);
 
-  const assembler::Program& program_;
+  const assembler::DecodedProgram& program_;
   memory::MainMemory& memory_;
   bool trapOnDivZero_;
-  expr::ExpressionCache expressions_;
-  std::vector<Predecoded> pre_;
   expr::EvalResult evalScratch_;
 
   std::array<std::uint64_t, 32> x_{};

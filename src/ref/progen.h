@@ -6,7 +6,7 @@
 // confined to a generated scratch array. Running the same program through
 // the golden-model ISS and the out-of-order core and comparing the final
 // architectural state is the strongest correctness property the simulator
-// has (DESIGN.md §6).
+// has (tests/differential_test.cpp).
 #pragma once
 
 #include <cstdint>

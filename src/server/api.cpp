@@ -107,14 +107,6 @@ json::Json MakeErrorResponse(const Error& error) {
   }
   envelope.Set("details", std::move(details));
   response.Set("error", std::move(envelope));
-  // One-release compatibility shim: mirror the legacy flat fields so
-  // clients written against the pre-envelope shape keep working.
-  response.Set("kind", ToString(error.kind));
-  response.Set("message", error.message);
-  if (error.pos.line != 0) {
-    response.Set("line", static_cast<std::int64_t>(error.pos.line));
-    response.Set("column", static_cast<std::int64_t>(error.pos.column));
-  }
   return response;
 }
 
@@ -122,11 +114,17 @@ void AddErrorDetail(json::Json& response, const std::string& key,
                     json::Json value) {
   if (json::Json* envelope = response.Find("error"); envelope != nullptr) {
     if (json::Json* details = envelope->Find("details"); details != nullptr) {
-      details->Set(key, value);
+      details->Set(key, std::move(value));
     }
   }
-  // Legacy top-level mirror (the compatibility shim).
-  response.Set(key, std::move(value));
+}
+
+std::string ErrorMessage(const json::Json& response,
+                         std::string_view fallback) {
+  const json::Json* envelope = response.Find("error");
+  return envelope != nullptr && envelope->IsObject()
+             ? envelope->GetString("message", fallback)
+             : std::string(fallback);
 }
 
 json::Json SimServer::ErrorResponse(const Error& error) const {

@@ -82,8 +82,8 @@ struct RequestTiming {
 /// negotiation fields. Advertised as "apiVersion" in the hello handshake
 /// and in createSession/metrics responses; bumped on incompatible changes.
 /// v1: uniform error envelope, camelCase field names, delta-blob hello
-/// negotiation.
-inline constexpr std::int64_t kApiVersion = 1;
+/// negotiation. v2: the envelope alone — no flat top-level error fields.
+inline constexpr std::int64_t kApiVersion = 2;
 
 /// True exactly for the error kinds a client may retry verbatim (load
 /// shed / backpressure, not a fault in the request itself).
@@ -93,15 +93,17 @@ inline bool ErrorIsRetryable(ErrorKind kind) {
 
 /// The standard "status: error" JSON response for an Error: a nested
 /// {"status":"error","error":{"kind","message","retryable","details":{}}}
-/// envelope. For one release the legacy flat fields (top-level "kind",
-/// "message" and any details) are mirrored alongside.
+/// envelope.
 json::Json MakeErrorResponse(const Error& error);
 
-/// Adds a machine-readable detail field to an error response built by
-/// MakeErrorResponse, writing both the envelope's "error"."details" object
-/// and the legacy top-level mirror.
+/// Adds a machine-readable field to the envelope's "error"."details"
+/// object of an error response built by MakeErrorResponse.
 void AddErrorDetail(json::Json& response, const std::string& key,
                     json::Json value);
+
+/// "error"."message" of an error response, or `fallback` when it has none.
+std::string ErrorMessage(const json::Json& response,
+                         std::string_view fallback);
 
 /// Byte-level request pipeline shared by SimServer and the shard router:
 /// parses `requestBytes`, dispatches through `handler`, serializes and

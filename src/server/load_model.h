@@ -6,8 +6,7 @@
 // *queueing structure* exactly and feed it *measured* per-request service
 // times (samples collected by timing real SimServer::HandleRaw calls), so
 // the latency distribution comes from a deterministic discrete-event
-// simulation instead of minutes of wall-clock waiting (DESIGN.md
-// substitution table).
+// simulation instead of minutes of wall-clock waiting.
 //
 // Deployment modes model the paper's Direct vs Docker rows: Docker adds a
 // calibrated multiplicative service-time overhead plus a fixed per-request

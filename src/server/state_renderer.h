@@ -1,6 +1,6 @@
 // State renderer: serializes the complete simulator state.
 //
-// This is the GUI substitution layer (DESIGN.md): the web client's main
+// This is the GUI substitution layer: the web client's main
 // window is, from the simulator's point of view, a consumer of a full
 // state snapshot every displayed cycle. RenderJson produces that snapshot
 // (the API payload whose serialization dominates request time — experiment

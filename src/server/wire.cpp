@@ -153,7 +153,7 @@ Status CheckHelloResponse(const json::Json& response,
     // a hostile or confused peer answers with anything else. Both are
     // refusals — skew must be discovered here, not mid-migration.
     return refuse("peer did not answer the handshake (" +
-                  response.GetString("message", "no hello in response") +
+                  ErrorMessage(response, "no hello in response") +
                   ")");
   }
   const std::int64_t frameVersion = response.GetInt("frameVersion", -1);

@@ -492,7 +492,7 @@ Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
   if (!response.ok()) return response.error();
   if (!IsOk(response.value())) {
     return Error{ErrorKind::kInternal,
-                 response.value().GetString("message", "listSessions failed")};
+                 server::ErrorMessage(response.value(), "listSessions failed")};
   }
   WorkerLoad load;
   const json::Json* sessions = response.value().Find("sessions");
@@ -667,7 +667,7 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
     if (!IsOk(answer) || metrics == nullptr) {
       entry.Set("unreachable", true);
       entry.Set("error",
-                answer.GetString("message", "response carried no metrics"));
+                server::ErrorMessage(answer, "response carried no metrics"));
     } else {
       obs::MergeMetricsJson(fleet, *metrics);
       entry.Set("metrics", std::move(*metrics));
@@ -715,7 +715,7 @@ json::Json ShardRouter::TraceDump() {
     if (!IsOk(answer) || trace == nullptr) {
       entry.Set("unreachable", true);
       entry.Set("error",
-                answer.GetString("message", "response carried no trace"));
+                server::ErrorMessage(answer, "response carried no trace"));
     } else {
       entry.Set("trace", std::move(*trace));
     }
@@ -788,7 +788,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
         ErrorKind::kInternal,
         "export of session " + std::to_string(globalId) + " from worker " +
             std::to_string(source.worker) + " failed: " +
-            exported.GetString("message", "unknown error"));
+            server::ErrorMessage(exported, "unknown error"));
   };
   // Session blobs can be tens of MiB of base64; read by reference and
   // copy exactly once (into the import request). The import rides the
@@ -835,7 +835,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
         ErrorKind::kInternal,
         "worker " + std::to_string(destination) + " rejected session " +
             std::to_string(globalId) + ": " +
-            imported.GetString("message", "unknown error"));
+            server::ErrorMessage(imported, "unknown error"));
   }
 
   // Only now is it safe to drop the source copy.
@@ -854,7 +854,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
         ErrorKind::kInternal,
         "could not delete session " + std::to_string(globalId) +
             " from worker " + std::to_string(source.worker) +
-            " after migration: " + deleted.GetString("message", ""));
+            " after migration: " + server::ErrorMessage(deleted, ""));
   }
 
   {
@@ -994,8 +994,7 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
     response.Set("status", "ok");
     return response;
   }
-  // Error envelope with the drain tallies carried along (AddErrorDetail
-  // also mirrors each field at the top level for legacy readers).
+  // Error envelope with the drain tallies carried in its details.
   json::Json error = server::MakeErrorResponse(Error{
       ErrorKind::kInternal,
       "drain of worker " + std::to_string(worker) + " left " +
@@ -1312,7 +1311,7 @@ json::Json ShardRouter::Rebalance() {
                            "rebalance stopped on a failed migration");
   }
   // On the error path AddErrorDetail lands each field in the envelope's
-  // details and mirrors it at the top level; on success plain Set.
+  // details; on success plain Set.
   auto setField = [&](const std::string& key, json::Json value) {
     if (IsOk(response)) {
       response.Set(key, std::move(value));

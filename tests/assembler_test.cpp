@@ -338,5 +338,23 @@ TEST(Loader, PlacesStackArraysAndDataInOrder) {
   EXPECT_EQ(loaded.value().initialSp, config.memory.callStackBytes);
 }
 
+TEST(Assembler, DeepOperandNestingIsAParseError) {
+  const std::string deep = std::string(20000, '(') + "1" +
+                           std::string(20000, ')');
+  for (const std::string& operand : {deep, std::string(20000, '-') + "1"}) {
+    auto result = Assemble("addi x1, x0, " + operand + "\n");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().kind, ErrorKind::kParse);
+    EXPECT_NE(result.error().message.find("deeper than 256"),
+              std::string::npos)
+        << result.error().message;
+  }
+  // Within the budget the expression still evaluates.
+  auto ok = Assemble("addi x1, x0, " + std::string(100, '(') + "5" +
+                     std::string(100, ')') + "\n");
+  ASSERT_TRUE(ok.ok()) << ok.error().ToText();
+  EXPECT_EQ(ok.value().instructions[0].operands[2].imm, 5);
+}
+
 }  // namespace
 }  // namespace rvss::assembler

@@ -299,5 +299,51 @@ TEST(Optimizer, ConstantFoldingShrinksPrograms) {
   EXPECT_EQ(CompileAndRun(source, 1), 23);
 }
 
+// ---- nesting budget ---------------------------------------------------------
+
+std::string Repeat(const std::string& text, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) out += text;
+  return out;
+}
+
+TEST(Diagnostics, DeepNestingIsAParseErrorNotAStackOverflow) {
+  const std::string sources[] = {
+      "int main(){ return " + Repeat("(", 5000) + "1" + Repeat(")", 5000) +
+          "; }",
+      // Parsed iteratively, but the left-deep tree it builds is as deep as
+      // the chain is long: the optimizer and codegen recurse over it.
+      "int main(){ return 1" + Repeat("+1", 19999) + "; }",
+      "int main(){ " + Repeat("{", 20000) + Repeat("}", 20000) +
+          " return 0; }",
+      "int main(){ return " + Repeat("-", 20000) + "1; }",
+      "int main(){ int " + Repeat("*", 20000) + "p; return 0; }",
+      "struct S { struct S* n; }; int main(){ struct S* p = 0; return p" +
+          Repeat("->n", 20000) + " == 0; }",
+  };
+  for (const std::string& source : sources) {
+    auto result = Compile(source);
+    ASSERT_FALSE(result.ok()) << source.substr(0, 40);
+    EXPECT_EQ(result.error().kind, ErrorKind::kParse);
+    EXPECT_NE(result.error().message.find("nesting deeper than 256"),
+              std::string::npos)
+        << result.error().message;
+  }
+}
+
+TEST(Diagnostics, NestingWithinTheBudgetCompiles) {
+  EXPECT_EQ(CompileAndRun("int main(){ return " + Repeat("(", 60) + "7" +
+                              Repeat(")", 60) + "; }",
+                          0),
+            7);
+  EXPECT_EQ(CompileAndRun("int main(){ return 1" + Repeat("+1", 99) + "; }",
+                          2),
+            100);
+  EXPECT_EQ(CompileAndRun("int main(){ int x = 3; " + Repeat("{", 60) +
+                              "x = x + 1;" + Repeat("}", 60) + " return x; }",
+                          1),
+            4);
+}
+
 }  // namespace
 }  // namespace rvss::cc

@@ -364,5 +364,165 @@ b:  addi t0, t0, -1
   EXPECT_LE(two->cycle(), one->cycle());
 }
 
+// ---- the shared decoded program ---------------------------------------------
+
+// One static instruction per FastPath tag and per operand slot kind.
+const char* kDecodeSample = R"(
+main:
+    addi t0, x0, 5
+    addi x0, t0, 1
+    beq t0, x0, skip
+    fadd.s ft0, ft1, ft2
+skip:
+    sw t0, -4(sp)
+    jal t2, done
+    addi t0, t0, 1
+done:
+    ebreak
+)";
+
+TEST(DecodedProgram, PinsSlotsBranchOffsetsAndFastPaths) {
+  using assembler::FastPath;
+  using Kind = assembler::OperandSlot::Kind;
+  auto created = Simulation::Create(config::DefaultConfig(), kDecodeSample,
+                                    {{}, "main"});
+  ASSERT_TRUE(created.ok()) << created.error().ToText();
+  const assembler::DecodedProgram& decoded = created.value()->decodedProgram();
+  ASSERT_EQ(decoded.size(), 8u);
+  const isa::RegisterId x5{isa::RegisterKind::kInt, 5};
+
+  const assembler::DecodedOp& addi = decoded[0];  // addi t0, x0, 5
+  EXPECT_EQ(addi.path, FastPath::kAlu);
+  EXPECT_EQ(addi.window, WindowKind::kFx);
+  EXPECT_EQ(addi.operandCount, 3);
+  EXPECT_EQ(addi.destsNeeded, 1);
+  EXPECT_EQ(addi.operands[0].kind, Kind::kDest);
+  EXPECT_EQ(addi.operands[0].reg, x5);
+  EXPECT_EQ(addi.operands[1].kind, Kind::kZeroSource);
+  EXPECT_EQ(addi.operands[1].fixed.AsInt32(), 0);
+  EXPECT_EQ(addi.operands[2].kind, Kind::kImmediate);
+  EXPECT_EQ(addi.operands[2].fixed.AsInt32(), 5);
+
+  const assembler::DecodedOp& toX0 = decoded[1];  // addi x0, t0, 1
+  EXPECT_EQ(toX0.operands[0].kind, Kind::kDestX0);
+  EXPECT_EQ(toX0.destsNeeded, 0);
+  EXPECT_EQ(toX0.operands[1].kind, Kind::kRegSource);
+  // One compiled expression per definition, shared by every instance.
+  EXPECT_EQ(toX0.expr, addi.expr);
+  ASSERT_NE(addi.expr, nullptr);
+
+  const assembler::DecodedOp& beq = decoded[2];  // beq t0, x0, skip
+  EXPECT_EQ(beq.path, FastPath::kCondBranch);
+  EXPECT_EQ(beq.window, WindowKind::kBranch);
+  EXPECT_TRUE(beq.isControl);
+  EXPECT_EQ(beq.branchImm, 8);
+  EXPECT_EQ(beq.operands[1].kind, Kind::kZeroSource);
+
+  const assembler::DecodedOp& fadd = decoded[3];  // fadd.s ft0, ft1, ft2
+  EXPECT_EQ(fadd.path, FastPath::kAlu);
+  EXPECT_EQ(fadd.window, WindowKind::kFp);
+  EXPECT_EQ(fadd.operands[0].kind, Kind::kDest);
+  EXPECT_EQ(fadd.operands[0].reg,
+            (isa::RegisterId{isa::RegisterKind::kFp, 0}));
+  EXPECT_EQ(fadd.operands[0].type, isa::ArgType::kFloat);
+  EXPECT_EQ(fadd.operands[1].kind, Kind::kRegSource);
+  EXPECT_EQ(fadd.operands[1].reg,
+            (isa::RegisterId{isa::RegisterKind::kFp, 1}));
+  EXPECT_EQ(fadd.flops, 1);
+
+  const assembler::DecodedOp& sw = decoded[4];  // sw t0, -4(sp)
+  EXPECT_EQ(sw.path, FastPath::kMemAddress);
+  EXPECT_EQ(sw.window, WindowKind::kLs);
+  EXPECT_EQ(sw.operands[0].kind, Kind::kRegSource);  // the data register
+  EXPECT_EQ(sw.operands[0].reg, x5);
+  EXPECT_EQ(sw.destsNeeded, 0);
+
+  const assembler::DecodedOp& jal = decoded[5];  // jal t2, done
+  EXPECT_EQ(jal.path, FastPath::kSlow);
+  EXPECT_TRUE(jal.isControl);
+  EXPECT_EQ(jal.branchImm, 8);
+  EXPECT_EQ(jal.destsNeeded, 1);
+
+  EXPECT_EQ(decoded[7].path, FastPath::kHalt);  // ebreak
+  EXPECT_EQ(decoded.entryPc(), 0u);
+}
+
+TEST(DecodedProgram, IssAndCoreReadTheSameEntries) {
+  const config::CpuConfig config = config::DefaultConfig();
+  auto created = Simulation::Create(config, kDecodeSample, {{}, "main"});
+  ASSERT_TRUE(created.ok()) << created.error().ToText();
+  Simulation& sim = *created.value();
+  const assembler::DecodedProgram& decoded = sim.decodedProgram();
+
+  // An ISS constructed on the simulation's table reads those very entries.
+  memory::MainMemory memory(config.memory.sizeBytes);
+  auto loaded =
+      assembler::LoadProgram(kDecodeSample, {}, config, memory, "main");
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
+  ref::Interpreter iss(decoded, memory);
+  ASSERT_EQ(&iss.program(), &decoded);
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(&iss.program()[i], &decoded[i]);
+  }
+
+  // The table is a pure function of the program: a rebuild agrees with it.
+  const assembler::DecodedProgram rebuilt(sim.program());
+  ASSERT_EQ(rebuilt.size(), decoded.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(rebuilt[i].def, decoded[i].def) << i;
+    EXPECT_EQ(rebuilt[i].path, decoded[i].path) << i;
+    EXPECT_EQ(rebuilt[i].branchImm, decoded[i].branchImm) << i;
+    for (std::size_t k = 0; k < decoded[i].operandCount; ++k) {
+      EXPECT_EQ(rebuilt[i].operands[k].kind, decoded[i].operands[k].kind);
+      EXPECT_EQ(rebuilt[i].operands[k].reg, decoded[i].operands[k].reg);
+    }
+  }
+
+  // Both models execute it to the same architectural state.
+  iss.InitRegisters(loaded.value().initialSp);
+  EXPECT_EQ(iss.Run(), ref::ExitReason::kHalted);
+  sim.Run(10'000);
+  EXPECT_EQ(sim.finishReason(), FinishReason::kHalted);
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(sim.ReadIntReg(r), iss.ReadIntReg(r)) << "x" << r;
+    EXPECT_EQ(sim.ReadFpReg(r), iss.ReadFpReg(r)) << "f" << r;
+  }
+  EXPECT_EQ(iss.ReadIntReg(testutil::Reg("t0")), 5u);
+  EXPECT_EQ(iss.ReadIntReg(testutil::Reg("t2")), 24u);  // jal's link
+}
+
+TEST(DecodedProgram, MoreThanFourArgumentsFaultInsteadOfOverflowing) {
+  // Only an embedder's custom instruction set can declare this; the
+  // operand slots hold four, so executing it faults cleanly.
+  isa::InstructionDescription wide;
+  wide.name = "add4";
+  wide.args = {{"rd", isa::ArgType::kInt, true, false},
+               {"rs1", isa::ArgType::kInt, false, false},
+               {"rs2", isa::ArgType::kInt, false, false},
+               {"rs3", isa::ArgType::kInt, false, false},
+               {"rs4", isa::ArgType::kInt, false, false}};
+  wide.interpretableAs = "\\rs1 \\rs2 + \\rd =";
+  std::vector<isa::InstructionDescription> defs =
+      isa::InstructionSet::Default().all();
+  defs.push_back(wide);
+  const isa::InstructionSet extended(std::move(defs));
+
+  const config::CpuConfig config = config::DefaultConfig();
+  memory::MainMemory memory(config.memory.sizeBytes);
+  auto loaded = assembler::LoadProgram("add4 a0, a1, a2, a3, a4\n", {},
+                                       config, memory, "", extended);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  EXPECT_EQ(decoded[0].operandCount, assembler::kMaxOperands);
+  EXPECT_EQ(decoded[0].expr, nullptr);
+  ref::Interpreter iss(decoded, memory);
+  iss.InitRegisters(loaded.value().initialSp);
+  EXPECT_EQ(iss.Run(), ref::ExitReason::kFault);
+  ASSERT_TRUE(iss.fault().has_value());
+  EXPECT_NE(iss.fault()->message.find("more than 4 arguments"),
+            std::string::npos)
+      << iss.fault()->message;
+}
+
 }  // namespace
 }  // namespace rvss::core

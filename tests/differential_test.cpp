@@ -1,6 +1,6 @@
 // Differential property tests: the OoO core must produce exactly the
 // architectural state of the golden-model ISS on arbitrary generated
-// programs under arbitrary configurations (DESIGN.md §6).
+// programs under arbitrary configurations.
 //
 // The MigrationSeamFuzz suite extends the property across every state
 // seam the serving stack introduces: export -> import into a fresh worker
@@ -79,7 +79,8 @@ TEST_P(DifferentialFuzz, CoreMatchesIss) {
   memory::MainMemory issMemory(config.memory.sizeBytes);
   auto loaded = assembler::LoadProgram(source, {}, config, issMemory, "main");
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
-  ref::Interpreter iss(loaded.value().program, issMemory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter iss(decoded, issMemory);
   iss.InitRegisters(loaded.value().initialSp);
   const ref::ExitReason reason = iss.Run(20'000'000);
   ASSERT_EQ(reason, ref::ExitReason::kMainReturned)
@@ -329,7 +330,8 @@ TEST_P(MigrationSeamFuzz, MigrationAndRewindAreInvisible) {
   memory::MainMemory issMemory(config.memory.sizeBytes);
   auto loaded = assembler::LoadProgram(source, {}, config, issMemory, "main");
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
-  ref::Interpreter iss(loaded.value().program, issMemory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter iss(decoded, issMemory);
   iss.InitRegisters(loaded.value().initialSp);
   ASSERT_EQ(iss.Run(20'000'000), ref::ExitReason::kMainReturned);
 

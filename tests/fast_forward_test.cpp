@@ -70,7 +70,8 @@ TEST_P(FastForwardDifferential, FinalStateMatchesDetailedRunAndIss) {
   memory::MainMemory issMemory(config.memory.sizeBytes);
   auto loaded = assembler::LoadProgram(source, {}, config, issMemory, "main");
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
-  ref::Interpreter iss(loaded.value().program, issMemory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter iss(decoded, issMemory);
   iss.InitRegisters(loaded.value().initialSp);
   ASSERT_EQ(iss.Run(20'000'000), ref::ExitReason::kMainReturned)
       << "seed " << seed;

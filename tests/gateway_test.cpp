@@ -243,7 +243,7 @@ TEST(Gateway, BadJsonGetsAnErrorAndTheConnectionLivesOn) {
   auto response = server::ReadMessage(client.socket, ClientWire());
   ASSERT_TRUE(response.ok()) << response.error().ToText();
   testutil::CheckErrorEnvelope(response.value());
-  EXPECT_EQ(response.value().GetString("kind", ""), "parse");
+  EXPECT_EQ(testutil::ErrorOf(response.value()).GetString("kind", ""), "parse");
 
   json::Json parsed =
       client.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
@@ -308,8 +308,9 @@ TEST(Gateway, SessionQuotaIsRefusedWithRetryableUnavailable) {
   // and the fleet never sees it.
   json::Json refused = create();
   testutil::CheckErrorEnvelope(refused);
-  EXPECT_EQ(refused.GetString("kind", ""), "unavailable") << refused.Dump();
-  EXPECT_NE(refused.GetString("message", "").find("quota"),
+  EXPECT_EQ(testutil::ErrorOf(refused).GetString("kind", ""), "unavailable")
+      << refused.Dump();
+  EXPECT_NE(testutil::ErrorOf(refused).GetString("message", "").find("quota"),
             std::string::npos);
 
   // Another connection has its own quota.
@@ -420,10 +421,12 @@ TEST(Gateway, DispatchQueueOverflowShedsWithUnavailable) {
   auto shed = server::ReadMessage(c.socket, wire);
   ASSERT_TRUE(shed.ok()) << shed.error().ToText();
   testutil::CheckErrorEnvelope(shed.value());
-  EXPECT_EQ(shed.value().GetString("kind", ""), "unavailable")
+  EXPECT_EQ(testutil::ErrorOf(shed.value()).GetString("kind", ""),
+            "unavailable")
       << shed.value().Dump();
-  EXPECT_NE(shed.value().GetString("message", "").find("shed"),
-            std::string::npos);
+  EXPECT_NE(
+      testutil::ErrorOf(shed.value()).GetString("message", "").find("shed"),
+      std::string::npos);
 
   {
     std::lock_guard<std::mutex> lock(mutex);
@@ -510,7 +513,8 @@ TEST(Gateway, StalledWorkerLaneShedsThroughTheGateway) {
   auto shed = server::ReadMessage(c.socket, wire);
   ASSERT_TRUE(shed.ok()) << shed.error().ToText();
   testutil::CheckErrorEnvelope(shed.value());
-  EXPECT_EQ(shed.value().GetString("kind", ""), "unavailable")
+  EXPECT_EQ(testutil::ErrorOf(shed.value()).GetString("kind", ""),
+            "unavailable")
       << shed.value().Dump();
 
   blocking->Release();

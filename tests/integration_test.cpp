@@ -80,7 +80,8 @@ TEST_P(FullStack, CompiledProgramMatchesOnCoreAndIss) {
   auto loaded = assembler::LoadProgram(compiled.value().assembly, {}, config,
                                        issMemory, "main");
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
-  ref::Interpreter iss(loaded.value().program, issMemory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter iss(decoded, issMemory);
   iss.InitRegisters(loaded.value().initialSp);
   ASSERT_EQ(iss.Run(100'000'000), ref::ExitReason::kMainReturned);
   EXPECT_EQ(static_cast<std::int32_t>(iss.ReadIntReg(10)), param.expected);

@@ -322,7 +322,8 @@ TEST(InstructionSet, CustomJsonInstructionExecutes) {
       "main:\n li a1, 10\n li a2, 4\n addx3 a0, a1, a2\n ret\n", {}, config,
       memory, "main", extended);
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToText();
-  ref::Interpreter interp(loaded.value().program, memory);
+  const assembler::DecodedProgram decoded(loaded.value().program);
+  ref::Interpreter interp(decoded, memory);
   interp.InitRegisters(loaded.value().initialSp);
   EXPECT_EQ(interp.Run(), ref::ExitReason::kMainReturned);
   EXPECT_EQ(static_cast<std::int32_t>(interp.ReadIntReg(10)), 22);

@@ -84,9 +84,48 @@ TEST(Api, CompileErrorsReportPosition) {
   json::Json response = server.Handle(
       Parse(R"({"command": "compile", "code": "int main( { return; }"})"));
   testutil::CheckErrorEnvelope(response);
-  EXPECT_GT(response.GetInt("line", 0), 0);
-  // Position detail lives in the envelope too, not just the legacy mirror.
-  EXPECT_GT(response.Find("error")->Find("details")->GetInt("line", 0), 0);
+  EXPECT_GT(testutil::ErrorDetails(response).GetInt("line", 0), 0);
+}
+
+TEST(Api, DeepNestingIsATypedErrorAndTheServerLivesOn) {
+  SimServer server;
+  std::string chain = "int main(){ return 1";
+  for (int i = 0; i < 20000; ++i) chain += "+1";
+  chain += "; }";
+  const std::string cSources[] = {
+      "int main(){ return " + std::string(5000, '(') + "1" +
+          std::string(5000, ')') + "; }",
+      chain,
+      "int main(){ " + std::string(20000, '{') + std::string(20000, '}') +
+          " return 0; }",
+  };
+  const auto call = [&server](json::Json request) {
+    return Parse(server.HandleRaw(request.Dump()));
+  };
+  for (const std::string& code : cSources) {
+    for (const char* command : {"createSession", "compile"}) {
+      json::Json request = json::Json::MakeObject();
+      request.Set("command", command);
+      request.Set("isC", true);
+      request.Set("code", code);
+      const json::Json response = call(std::move(request));
+      testutil::CheckErrorEnvelope(response);
+      EXPECT_EQ(testutil::ErrorOf(response).GetString("kind", ""), "parse")
+          << command;
+    }
+  }
+  json::Json asmRequest = json::Json::MakeObject();
+  asmRequest.Set("command", "createSession");
+  asmRequest.Set("code", "main:\n addi x1, x0, " + std::string(20000, '(') +
+                             "1" + std::string(20000, ')') + "\n ret\n");
+  const json::Json asmResponse = call(std::move(asmRequest));
+  testutil::CheckErrorEnvelope(asmResponse);
+  EXPECT_EQ(testutil::ErrorOf(asmResponse).GetString("kind", ""), "parse");
+
+  // Same process, still serving.
+  const json::Json hello = call(Parse(R"({"command": "hello"})"));
+  EXPECT_EQ(hello.GetString("status", ""), "ok");
+  EXPECT_TRUE(hello.GetBool("hello", false));
 }
 
 TEST(Api, ParseAsmValidatesSource) {

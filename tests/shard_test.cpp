@@ -162,7 +162,8 @@ TEST(RouteThrough, MatchesBareServerStepByStep) {
   // Errors mirror the single-server shape.
   json::Json missing = Cmd(router, "step", {{"sessionId", json::Json(999)}});
   testutil::CheckErrorEnvelope(missing);
-  EXPECT_NE(missing.GetString("message", "").find("unknown sessionId"),
+  EXPECT_NE(testutil::ErrorOf(missing).GetString("message", "").find(
+                "unknown sessionId"),
             std::string::npos);
 
   json::Json deleted = Cmd(router, "deleteSession",
@@ -279,9 +280,10 @@ TEST(Drain, DestinationBudgetRejectionKeepsSessionOnSource) {
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
-  EXPECT_EQ(drained.GetInt("moved", -1), 0);
-  ASSERT_FALSE(drained.Find("failed")->AsArray().empty());
-  EXPECT_NE(drained.Find("failed")->AsArray()[0].GetString("message", "")
+  const json::Json details = testutil::ErrorDetails(drained);
+  EXPECT_EQ(details.GetInt("moved", -1), 0);
+  ASSERT_FALSE(details.Find("failed")->AsArray().empty());
+  EXPECT_NE(details.Find("failed")->AsArray()[0].GetString("message", "")
                 .find("exceeds this server's budget"),
             std::string::npos)
       << drained.Dump();
@@ -322,10 +324,11 @@ TEST(Drain, SessionVanishingMidDrainFailsThatSessionOnly) {
 
   json::Json drained = Cmd(router, "drainWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(drained);
-  EXPECT_EQ(drained.GetInt("moved", -1), onWorker0Before - 1)
+  const json::Json details = testutil::ErrorDetails(drained);
+  EXPECT_EQ(details.GetInt("moved", -1), onWorker0Before - 1)
       << "the surviving sessions must still migrate";
-  ASSERT_EQ(drained.Find("failed")->AsArray().size(), 1u);
-  EXPECT_NE(drained.Find("failed")->AsArray()[0].GetString("message", "")
+  ASSERT_EQ(details.Find("failed")->AsArray().size(), 1u);
+  EXPECT_NE(details.Find("failed")->AsArray()[0].GetString("message", "")
                 .find("export"),
             std::string::npos);
 
@@ -363,7 +366,8 @@ TEST(Drain, DoubleDrainIsIdempotentAndOpenWorkerReadmits) {
   // (no destination), but loses nothing.
   json::Json strand = Cmd(router, "drainWorker", {{"worker", json::Json(1)}});
   testutil::CheckErrorEnvelope(strand);
-  EXPECT_FALSE(strand.Find("failed")->AsArray().empty());
+  EXPECT_FALSE(
+      testutil::ErrorDetails(strand).Find("failed")->AsArray().empty());
   json::Json refused = Cmd(router, "createSession",
                            {{"code", json::Json(kSpinLoop)},
                             {"entry", json::Json("main")}});
@@ -606,7 +610,7 @@ TEST(Elastic, RemoveWorkerWithNoDestinationFailsClosed) {
   // stranded) and the session must keep working.
   json::Json removed = Cmd(router, "removeWorker", {{"worker", json::Json(0)}});
   testutil::CheckErrorEnvelope(removed);
-  EXPECT_FALSE(removed.Find("removed")->AsBool());
+  EXPECT_FALSE(testutil::ErrorDetails(removed).Find("removed")->AsBool());
   json::Json stepped = Cmd(router, "step", {{"sessionId", json::Json(id)},
                                             {"count", json::Json(10)}});
   EXPECT_EQ(stepped.GetString("status", ""), "ok");
@@ -972,9 +976,9 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
       continue;
     }
     testutil::CheckErrorEnvelope(response);
-    EXPECT_EQ(response.GetString("kind", ""), "unavailable")
+    EXPECT_EQ(testutil::ErrorOf(response).GetString("kind", ""), "unavailable")
         << response.Dump();
-    EXPECT_NE(response.GetString("message", "").find("shed"),
+    EXPECT_NE(testutil::ErrorOf(response).GetString("message", "").find("shed"),
               std::string::npos)
         << response.Dump();
     ++shed;

@@ -16,8 +16,7 @@ namespace rvss::testutil {
 
 /// Asserts `response` is a well-formed error envelope (docs/api.md):
 /// status "error", a nested `error` object with kind/message/retryable/
-/// details, retryable true exactly for kind "unavailable", and the
-/// one-release legacy mirror (flat kind/message) in agreement.
+/// details, and retryable true exactly for kind "unavailable".
 inline void CheckErrorEnvelope(const json::Json& response) {
   ASSERT_EQ(response.GetString("status", ""), "error") << response.Dump();
   const json::Json* error = response.Find("error");
@@ -33,10 +32,20 @@ inline void CheckErrorEnvelope(const json::Json& response) {
   const json::Json* details = error->Find("details");
   ASSERT_NE(details, nullptr) << response.Dump();
   EXPECT_TRUE(details->IsObject()) << response.Dump();
-  EXPECT_EQ(response.GetString("kind", ""), kind) << response.Dump();
-  EXPECT_EQ(response.GetString("message", ""),
-            error->GetString("message", ""))
-      << response.Dump();
+}
+
+/// The `error` object of an error envelope (empty when absent), for
+/// lookups like ErrorOf(response).GetString("kind", "").
+inline json::Json ErrorOf(const json::Json& response) {
+  const json::Json* error = response.Find("error");
+  return error != nullptr ? *error : json::Json::MakeObject();
+}
+
+/// The envelope's `error.details` object (empty when absent).
+inline json::Json ErrorDetails(const json::Json& response) {
+  const json::Json error = ErrorOf(response);
+  const json::Json* details = error.Find("details");
+  return details != nullptr ? *details : json::Json::MakeObject();
 }
 
 /// Runs a program on the golden-model ISS and returns the interpreter for
@@ -44,6 +53,7 @@ inline void CheckErrorEnvelope(const json::Json& response) {
 struct IssRun {
   memory::MainMemory memory{64 * 1024};
   assembler::LoadedProgram loaded;
+  std::unique_ptr<const assembler::DecodedProgram> decoded;
   std::unique_ptr<ref::Interpreter> interp;
   ref::ExitReason reason = ref::ExitReason::kRunning;
 };
@@ -57,8 +67,9 @@ inline IssRun RunOnIss(const std::string& source,
   EXPECT_TRUE(loaded.ok()) << (loaded.ok() ? "" : loaded.error().ToText());
   if (!loaded.ok()) return run;
   run.loaded = std::move(loaded).value();
-  run.interp = std::make_unique<ref::Interpreter>(run.loaded.program,
-                                                  run.memory);
+  run.decoded =
+      std::make_unique<const assembler::DecodedProgram>(run.loaded.program);
+  run.interp = std::make_unique<ref::Interpreter>(*run.decoded, run.memory);
   run.interp->InitRegisters(run.loaded.initialSp);
   run.reason = run.interp->Run(10'000'000);
   if (expectClean) {
