@@ -378,15 +378,13 @@ int main(int argc, char** argv) {
     report.Set("drain_wire_reduction", reduction);
   }
 
-  // --- lane fast path: small-request dispatch latency A/B ----------------------
+  // --- lane: small-request dispatch latency -----------------------------------
   // The dispatch machinery in isolation: one WorkerLane over a stub
-  // transport that answers instantly, driven queued (Submit -> executor
-  // wake -> promise -> future wake: two thread handoffs plus a
-  // promise/future allocation per request) vs caller-runs
-  // (TryBeginDirect -> Call on this thread -> EndDirect). The stub keeps
-  // simulation cost out of the ratio — end to end, the saving is this
-  // delta riding on top of whatever the worker itself costs (visible in
-  // router_tax_us, where the fast path is on by default).
+  // transport that answers instantly, driven from one thread, so every
+  // call finds the lane idle — take a turn, run the call on this thread,
+  // pass the turn on. The stub keeps simulation cost out of the number;
+  // end to end, this rides on top of whatever the worker itself costs
+  // (visible in router_tax_us).
   {
     class StubTransport : public shard::WorkerTransport {
      public:
@@ -397,45 +395,23 @@ int main(int argc, char** argv) {
       }
       std::string Describe() const override { return "stub"; }
     };
-    auto stub = std::make_shared<StubTransport>();
-    shard::WorkerLane lane(stub);
+    shard::WorkerLane lane(std::make_shared<StubTransport>());
     const json::Json request = Cmd("stats", {{"sessionId", json::Json(1)}});
     constexpr int kWarmup = 500;
     constexpr int kTimed = 20000;
 
-    for (int i = 0; i < kWarmup; ++i) (void)lane.Submit(request).get();
-    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kWarmup; ++i) (void)lane.Call(request);
+    const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kTimed; ++i) {
-      if (!lane.Submit(request).get().ok()) {
-        std::fprintf(stderr, "lane A/B: queued submit failed\n");
+      if (!lane.Call(request).ok()) {
+        std::fprintf(stderr, "lane: idle-lane call failed\n");
         return 1;
       }
     }
-    const double queuedUs = bench::SecondsSince(start) * 1e6 / kTimed;
-
-    auto direct = [&lane, &stub, &request]() -> bool {
-      if (!lane.TryBeginDirect()) return false;
-      const bool ok = stub->Call(request).ok();
-      lane.EndDirect(0);
-      return ok;
-    };
-    for (int i = 0; i < kWarmup; ++i) direct();
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kTimed; ++i) {
-      if (!direct()) {
-        std::fprintf(stderr, "lane A/B: direct claim failed\n");
-        return 1;
-      }
-    }
-    const double directUs = bench::SecondsSince(start) * 1e6 / kTimed;
-    const double speedup = directUs > 0 ? queuedUs / directUs : 0.0;
+    const double laneUs = bench::SecondsSince(start) * 1e6 / kTimed;
     std::printf("\n# lane small-request dispatch latency (stub transport)\n");
-    std::printf("%-22s %10.2f us/request\n", "queued executor path", queuedUs);
-    std::printf("%-22s %10.2f us/request\n", "caller-runs fast path",
-                directUs);
-    std::printf("%-22s %10.2fx\n", "fast-path speedup", speedup);
-    report.Set("lane_small_request_us", directUs);
-    report.Set("lane_fastpath_speedup", speedup);
+    std::printf("%-22s %10.2f us/request\n", "idle lane", laneUs);
+    report.Set("lane_small_request_us", laneUs);
   }
 
   // --- steady-state routing overhead ------------------------------------------

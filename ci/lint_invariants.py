@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler cannot check.
 
-Four rules, each encoding an invariant this codebase has been burned by
+Five rules, each encoding an invariant this codebase has been burned by
 (or nearly so). The linter is a tripwire, not a proof: it is regex- and
 token-based, deliberately simple, and errs toward false negatives over
 false positives so it can run with zero suppressions on a clean tree.
@@ -41,6 +41,14 @@ false positives so it can run with zero suppressions on a clean tree.
                       at least one field with it — an unused capability
                       is either dead code or unprotected data.
 
+  thread-spawn        std::thread / std::jthread / std::async appear in
+                      src/ only where THREAD_ALLOW says: a whole file, or
+                      the body of one named function. Every other
+                      concurrency mechanism must show a bench that it
+                      pays for itself, so a new thread in the router, a
+                      lane or the gateway's request path becomes a
+                      reviewed change to the allowlist.
+
 Usage: python3 ci/lint_invariants.py [--root DIR] [--rule NAME]...
 Exits 0 when clean, 1 with one `path:line: [rule] message` per finding.
 """
@@ -55,6 +63,13 @@ CODEC_PATH = "src/snapshot/codec.cpp"
 ERROR_ENVELOPE_ALLOW = {"src/server/api.cpp"}
 METRIC_NAME_ALLOW = {"src/obs/registry.cpp"}
 RAW_MUTEX_ALLOW = {"src/common/sync.h"}
+# path -> None (the whole file) or the qualified name of the one function
+# whose body may start threads.
+THREAD_ALLOW = {
+    "src/gateway/gateway.cpp": None,   # I/O thread + dispatcher pool
+    "src/cli/cli.cpp": None,           # --sessions client drivers
+    "src/shard/router.cpp": "ShardRouter::FanOut",
+}
 
 # Standalone structs whose fields the codec must cover even though they
 # carry no SaveState themselves (they *are* the saved state).
@@ -62,7 +77,7 @@ EXTRA_STATE_STRUCTS = {"SimSnapshot"}
 
 DERIVED_MARK = "snapshot: derived"
 ALL_RULES = ("snapshot-coverage", "error-envelope", "metric-naming",
-             "mutex-guard")
+             "mutex-guard", "thread-spawn")
 
 
 class Finding:
@@ -344,11 +359,45 @@ def check_mutex_guard(files, root, findings):
                     f"protects (see docs/static_analysis.md)"))
 
 
+THREAD_RE = re.compile(r"\bstd::(thread|jthread|async)\b")
+
+
+def function_spans(masked, qualified_name):
+    """(start, end) of every definition of `qualified_name` — from its
+    name to the end of its body — in masked text."""
+    spans = []
+    pat = re.compile(r"\b" + re.escape(qualified_name) + r"\s*\(")
+    for m in pat.finditer(masked):
+        brace = masked.find("{", m.end())
+        semi = masked.find(";", m.end())
+        if brace == -1 or (semi != -1 and semi < brace):
+            continue  # a declaration or a call, not a definition
+        spans.append((m.start(), match_brace(masked, brace)))
+    return spans
+
+
+def check_thread_spawn(files, root, findings):
+    for rel, text, masked, nostr in files:
+        if rel in THREAD_ALLOW and THREAD_ALLOW[rel] is None:
+            continue
+        allowed = (function_spans(masked, THREAD_ALLOW[rel])
+                   if rel in THREAD_ALLOW else [])
+        for m in THREAD_RE.finditer(masked):
+            if any(lo <= m.start() < hi for lo, hi in allowed):
+                continue
+            findings.append(Finding(
+                rel, line_of(text, m.start()), "thread-spawn",
+                f"std::{m.group(1)} outside the thread allowlist; a new "
+                f"thread must show a bench that it pays for itself and "
+                f"be added to THREAD_ALLOW in ci/lint_invariants.py"))
+
+
 CHECKS = {
     "snapshot-coverage": check_snapshot_coverage,
     "error-envelope": check_error_envelope,
     "metric-naming": check_metric_naming,
     "mutex-guard": check_mutex_guard,
+    "thread-spawn": check_thread_spawn,
 }
 
 

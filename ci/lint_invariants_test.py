@@ -255,6 +255,54 @@ class MutexGuardTest(unittest.TestCase):
         self.assertIn("GUARDED_BY", findings[0].message)
 
 
+class ThreadSpawnTest(unittest.TestCase):
+    RULE = ["thread-spawn"]
+
+    def test_allowlisted_files_and_function_pass(self):
+        code, findings = run_lint({
+            "src/gateway/gateway.cpp": """
+                void Start() { ioThread_ = std::thread([] {}); }
+                """,
+            "src/shard/router.cpp": """
+                // A comment may say std::thread anywhere.
+                std::vector<int> ShardRouter::FanOut(
+                    const std::vector<int>& turns) {
+                  std::vector<std::thread> threads;
+                  return turns;
+                }
+                std::vector<int> ShardRouter::Probe() {
+                  return FanOut(turns);
+                }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 0, findings)
+
+    def test_thread_in_lane_fails(self):
+        code, findings = run_lint({
+            "src/shard/lane.cpp": """
+                WorkerLane::WorkerLane() : thread_([this] { Run(); }) {}
+                std::thread thread_;
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertIn("std::thread", findings[0].message)
+
+    def test_async_outside_the_allowlisted_function_fails(self):
+        code, findings = run_lint({
+            "src/shard/router.cpp": """
+                std::vector<int> ShardRouter::FanOut(
+                    const std::vector<int>& turns) {
+                  return turns;
+                }
+                void ShardRouter::Probe() {
+                  auto pending = std::async(std::launch::async, [] {});
+                }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertIn("std::async", findings[0].message)
+
+
 class RealTreeTest(unittest.TestCase):
     """The linter must be clean on the repository it ships in."""
 

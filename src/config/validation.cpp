@@ -7,6 +7,15 @@
 namespace rvss::config {
 namespace {
 
+// Upper bounds on every field a config sizes an allocation by. A client's
+// config reaches a shared server, so an oversized one must be answered
+// with kind "config" instead of aborting on bad_alloc or being
+// OOM-killed. Like robSize's, each bound sits far above every preset.
+constexpr std::uint32_t kMaxStructureEntries = 4096;
+constexpr std::uint64_t kMaxCacheBytes = 1ull << 20;
+constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
+constexpr std::uint32_t kMaxPredictorEntries = 1u << 16;
+
 void Check(std::vector<Error>& errors, bool ok, std::string message) {
   if (!ok) {
     errors.push_back(Error{ErrorKind::kConfig, std::move(message)});
@@ -23,7 +32,11 @@ std::vector<Error> Validate(const CpuConfig& config) {
   Check(errors, b.commitWidth >= 1, "commitWidth must be at least 1");
   Check(errors, b.issueWindowSize >= 1, "issueWindowSize must be at least 1");
   Check(errors, b.fetchWidth <= 16, "fetchWidth above 16 is not supported");
-  Check(errors, b.robSize <= 4096, "robSize above 4096 is not supported");
+  Check(errors, b.commitWidth <= 16, "commitWidth above 16 is not supported");
+  Check(errors, b.robSize <= kMaxStructureEntries,
+        "robSize above 4096 is not supported");
+  Check(errors, b.issueWindowSize <= kMaxStructureEntries,
+        "issueWindowSize above 4096 is not supported");
 
   Check(errors, config.coreClockHz > 0, "coreClockHz must be positive");
   Check(errors, config.memClockHz > 0, "memClockHz must be positive");
@@ -94,6 +107,11 @@ std::vector<Error> Validate(const CpuConfig& config) {
           "cache associativity must be at least 1");
     Check(errors, c.associativity <= c.lineCount,
           "cache associativity cannot exceed lineCount");
+    Check(errors,
+          static_cast<std::uint64_t>(c.lineCount) * c.lineSizeBytes <=
+              kMaxCacheBytes,
+          "cache capacity (lineCount x lineSizeBytes) above 1 MiB is not "
+          "supported");
     if (c.associativity >= 1 && c.lineCount >= 1) {
       Check(errors, c.lineCount % c.associativity == 0,
             "cache lineCount must be a multiple of associativity");
@@ -107,14 +125,22 @@ std::vector<Error> Validate(const CpuConfig& config) {
 
   const MemoryConfig& m = config.memory;
   Check(errors, m.sizeBytes >= 1024, "memory sizeBytes must be at least 1 KiB");
+  Check(errors, m.sizeBytes <= kMaxMemoryBytes,
+        "memory sizeBytes above 64 MiB is not supported");
   Check(errors, m.loadBufferSize >= 1, "loadBufferSize must be at least 1");
   Check(errors, m.storeBufferSize >= 1, "storeBufferSize must be at least 1");
+  Check(errors, m.loadBufferSize <= kMaxStructureEntries,
+        "loadBufferSize above 4096 is not supported");
+  Check(errors, m.storeBufferSize <= kMaxStructureEntries,
+        "storeBufferSize above 4096 is not supported");
   Check(errors, m.callStackBytes >= 64,
         "callStackBytes must be at least 64 bytes");
   Check(errors, m.callStackBytes < m.sizeBytes,
         "call stack must fit inside memory");
   Check(errors, m.renameRegisterCount >= config.buffers.fetchWidth,
         "renameRegisterCount must be at least fetchWidth");
+  Check(errors, m.renameRegisterCount <= kMaxStructureEntries,
+        "renameRegisterCount above 4096 is not supported");
 
   // Checkpoint settings are client-supplied on shared servers, so both ends
   // are bounded: a dense interval turns every step into a snapshot copy,
@@ -141,6 +167,10 @@ std::vector<Error> Validate(const CpuConfig& config) {
   const PredictorConfig& p = config.predictor;
   Check(errors, IsPowerOfTwo(p.btbSize), "btbSize must be a power of two");
   Check(errors, IsPowerOfTwo(p.phtSize), "phtSize must be a power of two");
+  Check(errors, p.btbSize <= kMaxPredictorEntries,
+        "btbSize above 65536 is not supported");
+  Check(errors, p.phtSize <= kMaxPredictorEntries,
+        "phtSize above 65536 is not supported");
   const std::uint32_t stateLimit =
       p.type == PredictorType::kTwoBit ? 4u : 2u;
   Check(errors, p.defaultState < stateLimit,

@@ -1,8 +1,9 @@
 #include "shard/lane.h"
 
-#include <algorithm>
+#include <string>
 #include <utility>
-#include <vector>
+
+#include "obs/registry.h"
 
 namespace rvss::shard {
 namespace {
@@ -15,7 +16,7 @@ Error StoppedError() {
                "worker was removed while the request was pending"};
 }
 
-Error ShedError(std::size_t depth) {
+Error ShedError(std::uint64_t depth) {
   return Error{ErrorKind::kUnavailable,
                "worker lane queue is full (" + std::to_string(depth) +
                    " requests queued); load shed, retry later"};
@@ -25,173 +26,90 @@ Error ShedError(std::size_t depth) {
 
 WorkerLane::WorkerLane(std::shared_ptr<WorkerTransport> transport,
                        std::size_t maxQueueDepth)
-    : transport_(std::move(transport)),
-      maxQueueDepth_(maxQueueDepth),
-      thread_([this] { Run(); }) {}
+    : transport_(std::move(transport)), maxQueueDepth_(maxQueueDepth) {}
 
-WorkerLane::~WorkerLane() { Stop(); }
+Result<WorkerLane::Turn> WorkerLane::TakeTurn() {
+  MutexLock lock(mutex_);
+  if (stopped_) return StoppedError();
+  // The holder of current_ is in flight; everyone behind it waits.
+  const std::uint64_t outstanding = nextTurn_ - current_;
+  const std::uint64_t waiting = outstanding == 0 ? 0 : outstanding - 1;
+  if (maxQueueDepth_ != 0 && waiting >= maxQueueDepth_) {
+    obs::Registry::Instance().GetCounter("shard.lane.shed").Increment();
+    return ShedError(waiting);
+  }
+  return nextTurn_++;
+}
 
-std::future<Result<json::Json>> WorkerLane::Submit(json::Json request) {
-  Job job;
-  job.request = std::move(request);
-  job.enqueuedNs = obs::MonotonicNowNs();
-  std::future<Result<json::Json>> result = job.promise.get_future();
+Result<json::Json> WorkerLane::Call(Turn turn, const json::Json& request) {
+  // One registration per metric name for the whole process; every lane
+  // shares the objects, so these aggregate across the fleet's lanes (the
+  // per-worker split lives in workerStats' lane Stats).
+  obs::Registry& registry = obs::Registry::Instance();
+  static obs::Histogram& queueWaitUs =
+      registry.GetHistogram("shard.lane.queueWaitUs");
+  static obs::Histogram& dispatchUs =
+      registry.GetHistogram("shard.lane.dispatchUs");
+  static obs::Counter& requests = registry.GetCounter("shard.lane.requests");
+  static obs::Counter& directCalls =
+      registry.GetCounter("shard.lane.directCalls");
+
+  const std::uint64_t arrivedNs = obs::MonotonicNowNs();
+  bool waited = false;
   {
     MutexLock lock(mutex_);
-    if (stopped_) {
-      job.promise.set_value(StoppedError());
-      return result;
-    }
-    if (maxQueueDepth_ != 0 && queue_.size() >= maxQueueDepth_) {
-      obs::Registry::Instance().GetCounter("shard.lane.shed").Increment();
-      job.promise.set_value(ShedError(queue_.size()));
-      return result;
-    }
-    queue_.push_back(std::move(job));
-    queueDepth_.fetch_add(1, std::memory_order_relaxed);
+    waited = current_ != turn;
+    while (!stopped_ && current_ != turn) turnPassed_.Wait(mutex_);
+    if (stopped_) return StoppedError();
   }
-  wake_.NotifyOne();
-  return result;
+  const std::uint64_t startNs = obs::MonotonicNowNs();
+  if (waited) {
+    queueWaitUs.Record((startNs - arrivedNs) / 1000);
+  } else {
+    directCalls.Increment();
+  }
+  Result<json::Json> response = transport_->Call(request);
+  const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
+  dispatchUs.Record(elapsedNs / 1000);
+  requests.Increment();
+  {
+    MutexLock lock(mutex_);
+    lastDispatchNs_ = elapsedNs;
+    ++dispatched_;
+    ++current_;
+  }
+  turnPassed_.NotifyAll();
+  return response;
+}
+
+Result<json::Json> WorkerLane::Call(const json::Json& request) {
+  Result<Turn> turn = TakeTurn();
+  if (!turn.ok()) return turn.error();
+  return Call(turn.value(), request);
 }
 
 void WorkerLane::Quiesce() {
   MutexLock lock(mutex_);
-  while (!queue_.empty() || busy_) idle_.Wait(mutex_);
-}
-
-bool WorkerLane::TryBeginDirect() {
-  MutexLock lock(mutex_);
-  if (stopped_ || busy_ || !queue_.empty()) return false;
-  busy_ = true;
-  inFlight_.store(true, std::memory_order_relaxed);
-  return true;
-}
-
-void WorkerLane::EndDirect(std::uint64_t elapsedNs) {
-  // Same dispatch accounting as the executor path (queueWaitUs excepted —
-  // a direct call never queued), so the fleet's request and latency
-  // totals do not depend on which path a request took.
-  static obs::Histogram& dispatchUs =
-      obs::Registry::Instance().GetHistogram("shard.lane.dispatchUs");
-  static obs::Counter& requests =
-      obs::Registry::Instance().GetCounter("shard.lane.requests");
-  dispatchUs.Record(elapsedNs / 1000);
-  requests.Increment();
-  lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
-  dispatched_.fetch_add(1, std::memory_order_relaxed);
-  inFlight_.store(false, std::memory_order_relaxed);
-  {
-    MutexLock lock(mutex_);
-    busy_ = false;
-    if (queue_.empty()) idle_.NotifyAll();
-  }
-  // Jobs submitted while the direct call held the lane woke the executor
-  // into a busy lane; re-wake it now that the lane is free.
-  wake_.NotifyOne();
+  while (!stopped_ && current_ != nextTurn_) turnPassed_.Wait(mutex_);
 }
 
 void WorkerLane::Stop() {
-  std::deque<Job> orphaned;
   {
     MutexLock lock(mutex_);
     stopped_ = true;
-    orphaned.swap(queue_);
-    queueDepth_.store(0, std::memory_order_relaxed);
   }
-  wake_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  for (Job& job : orphaned) {
-    job.promise.set_value(StoppedError());
-  }
+  turnPassed_.NotifyAll();
 }
 
 WorkerLane::Stats WorkerLane::stats() const {
+  MutexLock lock(mutex_);
   Stats stats;
-  stats.queueDepth = queueDepth_.load(std::memory_order_relaxed);
-  stats.inFlight = inFlight_.load(std::memory_order_relaxed);
-  stats.lastDispatchMs =
-      static_cast<double>(lastDispatchNs_.load(std::memory_order_relaxed)) /
-      1e6;
-  stats.dispatched = dispatched_.load(std::memory_order_relaxed);
+  const std::uint64_t outstanding = nextTurn_ - current_;
+  stats.queueDepth = outstanding == 0 ? 0 : outstanding - 1;
+  stats.inFlight = outstanding != 0;
+  stats.lastDispatchMs = static_cast<double>(lastDispatchNs_) / 1e6;
+  stats.dispatched = dispatched_;
   return stats;
-}
-
-void WorkerLane::Run() {
-  // One registration per metric name for the whole process; every lane
-  // shares the objects, so these histograms aggregate across the fleet's
-  // lanes (the per-worker split lives in workerStats' lane Stats).
-  obs::Registry& registry = obs::Registry::Instance();
-  obs::Histogram& queueWaitUs =
-      registry.GetHistogram("shard.lane.queueWaitUs");
-  obs::Histogram& dispatchUs = registry.GetHistogram("shard.lane.dispatchUs");
-  obs::Counter& requests = registry.GetCounter("shard.lane.requests");
-  obs::Counter& batches = registry.GetCounter("shard.lane.batches");
-
-  // Coalescing bound: enough to fold a burst of small frames into one
-  // wire write, small enough to keep per-batch latency and the resolved-
-  // but-unread response window flat.
-  constexpr std::size_t kMaxBatch = 16;
-
-  while (true) {
-    std::vector<Job> batch;
-    {
-      MutexLock lock(mutex_);
-      // !busy_: a caller-runs direct call may own the lane; the executor
-      // must not run the transport concurrently with it.
-      while (!stopped_ && (busy_ || queue_.empty())) wake_.Wait(mutex_);
-      if (stopped_) return;  // Stop() answers whatever is still queued
-      const std::size_t take = std::min(queue_.size(), kMaxBatch);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queueDepth_.fetch_sub(take, std::memory_order_relaxed);
-      busy_ = true;
-      inFlight_.store(true, std::memory_order_relaxed);
-    }
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    for (const Job& job : batch) {
-      queueWaitUs.Record((startNs - job.enqueuedNs) / 1000);
-    }
-    std::vector<Result<json::Json>> results;
-    if (batch.size() == 1) {
-      results.push_back(transport_->Call(batch[0].request));
-    } else {
-      std::vector<const json::Json*> requestPtrs;
-      requestPtrs.reserve(batch.size());
-      for (const Job& job : batch) requestPtrs.push_back(&job.request);
-      results = transport_->CallBatch(requestPtrs);
-      batches.Increment();
-    }
-    const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
-    dispatchUs.Record(elapsedNs / 1000);
-    requests.Add(batch.size());
-    lastDispatchNs_.store(elapsedNs, std::memory_order_relaxed);
-    dispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
-    inFlight_.store(false, std::memory_order_relaxed);
-    // Release the lane BEFORE delivering the promises. Every transport
-    // call has returned, so a Quiesce() waiter woken here observes a
-    // truly idle transport — delivery below touches no lane state. And a
-    // client whose future resolves and immediately sends its next
-    // request must find the lane idle, or sequential request streams
-    // could never take the caller-runs fast path.
-    {
-      MutexLock lock(mutex_);
-      busy_ = false;
-      if (queue_.empty()) idle_.NotifyAll();
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i < results.size()) {
-        batch[i].promise.set_value(std::move(results[i]));
-      } else {
-        // Defensive: a transport must answer index-aligned.
-        batch[i].promise.set_value(
-            Error{ErrorKind::kInternal,
-                  "batched transport returned too few responses"});
-      }
-    }
-  }
 }
 
 }  // namespace rvss::shard

@@ -1,146 +1,118 @@
-// Dispatch lanes: one request queue + executor thread per worker.
+// Dispatch lanes: FIFO turns over one worker's transport, with no thread
+// of their own.
 //
-// PR 4 left the router synchronous — one request at a time across the
-// whole fleet, so N worker *processes* simulated serially and a single
-// slow `run` stalled every other session. A WorkerLane gives each worker
-// its own dispatch thread: the router enqueues a request and receives a
-// future, the lane thread executes requests strictly in FIFO order over
-// the worker's one WorkerTransport connection. Concurrency therefore
-// lives *between* lanes (N workers simulate in parallel) while ordering
-// is preserved *within* a lane — exactly the per-session ordering the
-// session→worker affinity requires, since a session's requests all land
-// on its worker's lane.
+// A worker has one WorkerTransport connection, and a connection carries
+// one request at a time. A WorkerLane orders the callers that share it:
+// a caller takes a turn (TakeTurn, which never blocks), waits until its
+// turn comes up, runs WorkerTransport::Call on its own thread, and
+// passes the turn on. Concurrency therefore lives *between* lanes (N
+// workers simulate in parallel, each driven by whichever caller holds
+// its turn) while ordering is preserved *within* a lane — exactly the
+// per-session ordering the session→worker affinity requires, since a
+// session's requests all land on its worker's lane, in the order their
+// turns were taken.
+//
+// The router takes a turn under its fleet mutex, in the same critical
+// section as its placement-gate check, and waits for the turn with the
+// fleet mutex released. Fleet operations that hold a closed gate call
+// through the same lane; with the gate closed and the lane quiesced,
+// their turns come up at once.
 //
 // The quiesce barrier: fleet operations that move sessions (drain,
 // rebalance, removeWorker) must never observe a request in flight on the
-// worker they are reorganizing. Quiesce() blocks until the lane's queue
-// is empty and its thread idle. The caller is expected to have closed
-// the router's per-worker placement gate for this worker *before*
-// quiescing and to keep it closed across the session moves that follow:
-// every submission path checks the gate (under the router's fleet
-// mutex), so no new work can slip into the lane while the barrier holds
-// — the lane stays idle until the gate reopens, and the fleet operation
-// may use the worker's transport directly in the meantime. Quiesce is
-// thus a wait, not a mode switch; there is nothing to resume.
+// worker they are reorganizing. Quiesce() blocks until every turn taken
+// so far has run — the running caller and the waiting ones. The caller
+// is expected to have closed the router's per-worker placement gate for
+// this worker *before* quiescing and to keep it closed across the
+// session moves that follow: every turn-taking path checks the gate
+// (under the router's fleet mutex), so no new caller can slip into the
+// lane while the barrier holds. Quiesce is thus a wait, not a mode
+// switch; there is nothing to resume.
 //
-// Stop() ends the lane for good (removeWorker): the thread drains
-// nothing further, and every request still queued — plus any submitted
-// later — is answered with an error response, never dropped silently.
-// Callers that need pending work to complete quiesce first.
-//
-// Lane threads touch only the transport and their own queue. They never
-// take the router's fleet mutex — that invariant is what makes it safe
-// for the router to block on a future (or on Quiesce) while holding it.
+// Stop() ends the lane for good (removeWorker): every caller still
+// waiting for its turn — plus any later one — is answered with a
+// retryable kUnavailable error, never dropped silently. Callers that need
+// pending work to complete quiesce first.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
-#include <thread>
 
 #include "common/sync.h"
 #include "json/json.h"
-#include "obs/registry.h"
 #include "shard/transport.h"
 
 namespace rvss::shard {
 
 class WorkerLane {
  public:
-  /// Starts the executor thread. The lane shares ownership of the
-  /// transport; nothing else may use it while the lane is live except a
-  /// fleet operation holding the quiesce barrier (see above).
-  /// maxQueueDepth bounds the number of *waiting* jobs (the in-flight
-  /// one excluded): beyond it, Submit load-sheds. 0 = unbounded.
+  /// A caller's place in the lane's FIFO.
+  using Turn = std::uint64_t;
+
+  /// The lane shares ownership of the transport; nothing else may call
+  /// it. maxQueueDepth bounds the number of callers *waiting* for their
+  /// turn (the one holding it excluded): beyond it, TakeTurn load-sheds.
+  /// 0 = unbounded.
   explicit WorkerLane(std::shared_ptr<WorkerTransport> transport,
                       std::size_t maxQueueDepth = 0);
-  ~WorkerLane();
 
   WorkerLane(const WorkerLane&) = delete;
   WorkerLane& operator=(const WorkerLane&) = delete;
 
-  /// Enqueues one request. The future resolves to exactly what the
-  /// transport's Call would have returned: a response document, or an
-  /// Error for a transport-level failure (the distinction matters — a
-  /// worker's own {status: "error"} answer is a successful call). On a
-  /// stopped lane — or when the queue is at its depth cap — the future
-  /// is immediately ready with a retryable kUnavailable Error (the
-  /// latter is a load shed: nothing was enqueued, try again later).
-  std::future<Result<json::Json>> Submit(json::Json request)
-      EXCLUDES(mutex_);
+  /// Takes the next turn without waiting. On a stopped lane — or when
+  /// maxQueueDepth callers already wait — answers at once with a
+  /// retryable kUnavailable Error (the latter is a load shed: no turn
+  /// was taken, try again later). A taken turn must be passed to Call
+  /// exactly once; the lane stalls behind a turn that never runs.
+  Result<Turn> TakeTurn() EXCLUDES(mutex_);
 
-  /// Blocks until the queue is empty and the executor is idle. Only
-  /// meaningful while the caller prevents new submissions (by closing
-  /// the router's placement gate for this worker); see the file comment.
+  /// Waits for `turn`, runs the transport call on this thread, and
+  /// passes the turn on. The result is exactly what the transport's Call
+  /// returned: a response document, or an Error for a transport-level
+  /// failure (a worker's own {status: "error"} answer is a successful
+  /// call). A lane stopped before the turn came up answers with a
+  /// retryable kUnavailable Error instead of calling.
+  Result<json::Json> Call(Turn turn, const json::Json& request)
+      EXCLUDES(mutex_);
+  /// TakeTurn, then Call.
+  Result<json::Json> Call(const json::Json& request) EXCLUDES(mutex_);
+
+  /// Blocks until every turn taken so far has run. Only meaningful while
+  /// the caller prevents new turns (by closing the router's placement
+  /// gate for this worker); see the file comment. Returns at once on a
+  /// stopped lane.
   void Quiesce() EXCLUDES(mutex_);
 
-  /// Caller-runs fast path: atomically claims an idle lane (no queued
-  /// jobs, nothing in flight, not stopped). On success the caller owns
-  /// the worker's transport for ONE call on its own thread — skipping
-  /// the enqueue/wake/future hop — and must call EndDirect() when done.
-  /// While claimed the lane counts as busy: the executor parks, and
-  /// Quiesce() waits for the direct call like any in-flight job. The
-  /// claim must happen in the same critical section as the router's
-  /// placement-gate check (exactly like Submit), or a fleet operation
-  /// could close the gate between check and claim and then race the
-  /// direct call on the transport.
-  /// `elapsedNs` is the direct call's wall time; EndDirect folds it into
-  /// the same dispatch metrics the executor records, so fleet accounting
-  /// (requests, dispatchUs, dispatched) is path-independent.
-  [[nodiscard]] bool TryBeginDirect() EXCLUDES(mutex_);
-  void EndDirect(std::uint64_t elapsedNs = 0) EXCLUDES(mutex_);
-
-  /// Terminates the executor. Requests still queued are answered with an
-  /// error response. Idempotent.
+  /// Answers every waiting and later caller with an error. A call already
+  /// running finishes. Idempotent.
   void Stop() EXCLUDES(mutex_);
 
-  /// The lane's transport, for fleet operations acting under the quiesce
-  /// barrier (and for Describe()/LocalServer() introspection, which is
-  /// safe concurrently — both are immutable after construction).
-  WorkerTransport* transport() { return transport_.get(); }
+  /// The lane's transport, for Describe()/LocalServer()/
+  /// SupportsDeltaBlobs() introspection, which is safe concurrently.
+  WorkerTransport* transport() const { return transport_.get(); }
 
   /// Live lane load, surfaced per worker by the router's workerStats.
   /// Always-on (independent of obs::SetEnabled): these are functional
-  /// fleet stats, and the cost is a handful of relaxed atomics per job.
+  /// fleet stats. The lane mutex is never held across a transport call,
+  /// so reading them never waits behind a long `run`.
   struct Stats {
-    std::uint64_t queueDepth = 0;   ///< jobs waiting (excludes in-flight)
-    bool inFlight = false;          ///< a job is executing right now
-    double lastDispatchMs = 0.0;    ///< wall time of the last completed job
-    std::uint64_t dispatched = 0;   ///< jobs completed since construction
+    std::uint64_t queueDepth = 0;   ///< callers waiting for their turn
+    bool inFlight = false;          ///< a caller holds the turn right now
+    double lastDispatchMs = 0.0;    ///< wall time of the last completed call
+    std::uint64_t dispatched = 0;   ///< calls completed since construction
   };
-  Stats stats() const;
+  Stats stats() const EXCLUDES(mutex_);
 
  private:
-  struct Job {
-    json::Json request;
-    std::promise<Result<json::Json>> promise;
-    std::uint64_t enqueuedNs = 0;
-  };
-
-  void Run() EXCLUDES(mutex_);
-
-  std::shared_ptr<WorkerTransport> transport_;
-  Mutex mutex_;
-  CondVar wake_;  ///< signals the executor thread
-  CondVar idle_;  ///< signals Quiesce() waiters
-  std::deque<Job> queue_ GUARDED_BY(mutex_);
+  const std::shared_ptr<WorkerTransport> transport_;
   const std::size_t maxQueueDepth_;
-  /// The lane-ownership flag: set while the executor runs a batch or a
-  /// caller-runs direct call owns the transport. The release-busy-before-
-  /// promise ordering in Run() is part of the protocol — see there.
-  bool busy_ GUARDED_BY(mutex_) = false;
+  mutable Mutex mutex_;
+  CondVar turnPassed_;  ///< signals waiting callers and Quiesce()
+  Turn nextTurn_ GUARDED_BY(mutex_) = 0;  ///< handed out by TakeTurn
+  Turn current_ GUARDED_BY(mutex_) = 0;   ///< the turn allowed to run
   bool stopped_ GUARDED_BY(mutex_) = false;
-
-  // Lane load, readable without the lane mutex (workerStats must not
-  // block behind a minute-long `run` holding the executor busy).
-  std::atomic<std::uint64_t> queueDepth_{0};
-  std::atomic<bool> inFlight_{false};
-  std::atomic<std::uint64_t> lastDispatchNs_{0};
-  std::atomic<std::uint64_t> dispatched_{0};
-
-  std::thread thread_;
+  std::uint64_t lastDispatchNs_ GUARDED_BY(mutex_) = 0;
+  std::uint64_t dispatched_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace rvss::shard

@@ -1,8 +1,9 @@
 #include "shard/router.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "common/strings.h"
@@ -26,6 +27,19 @@ json::Json RouterError(ErrorKind kind, std::string message) {
   return server::MakeErrorResponse(Error{kind, std::move(message)});
 }
 
+/// A request carrying nothing but its command name.
+json::Json Command(const char* name) {
+  json::Json request = json::Json::MakeObject();
+  request.Set("command", name);
+  return request;
+}
+
+/// A worker's answer, or the envelope for a call that got none.
+json::Json ToResponse(Result<json::Json> result) {
+  return result.ok() ? std::move(result).value()
+                     : server::MakeErrorResponse(result.error());
+}
+
 }  // namespace
 
 Result<std::shared_ptr<WorkerTransport>> ShardRouter::MakeTransport(
@@ -42,7 +56,6 @@ ShardRouter::ShardRouter(const Options& options)
       ring_(std::max<std::size_t>(options.workerCount, 1),
             std::max<std::size_t>(options.virtualNodesPerWorker, 1)) {
   const std::size_t count = std::max<std::size_t>(options.workerCount, 1);
-  workers_.reserve(count);
   lanes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const server::SimServer::Limits& limits =
@@ -50,14 +63,12 @@ ShardRouter::ShardRouter(const Options& options)
                                                  : options_.workerLimits;
     auto transport = MakeTransport(i, limits);
     if (transport.ok()) {
-      workers_.push_back(std::move(transport).value());
-      lanes_.push_back(std::make_unique<WorkerLane>(
-          workers_.back(), options_.maxLaneQueueDepth));
+      lanes_.push_back(std::make_shared<WorkerLane>(
+          std::move(transport).value(), options_.maxLaneQueueDepth));
     } else {
       // A slot whose transport could not be built is born removed: the
       // fleet still comes up, the hole is visible in workerStats, and
       // nothing ever routes there.
-      workers_.push_back(nullptr);
       lanes_.push_back(nullptr);
       slotErrors_[i] = transport.error().message;
     }
@@ -68,7 +79,7 @@ ShardRouter::ShardRouter(const Options& options)
 
 std::size_t ShardRouter::workerCount() const {
   MutexLock lock(fleetMutex_);
-  return workers_.size();
+  return lanes_.size();
 }
 
 std::size_t ShardRouter::sessionCount() const {
@@ -78,8 +89,8 @@ std::size_t ShardRouter::sessionCount() const {
 
 server::SimServer* ShardRouter::workerServer(std::size_t index) {
   MutexLock lock(fleetMutex_);
-  if (index >= workers_.size() || workers_[index] == nullptr) return nullptr;
-  return workers_[index]->LocalServer();
+  if (!IsLive(index)) return nullptr;
+  return lanes_[index]->transport()->LocalServer();
 }
 
 json::Json ShardRouter::Handle(const json::Json& request) {
@@ -94,83 +105,64 @@ std::string ShardRouter::HandleRaw(std::string_view requestBytes,
       requestBytes, compress, timing);
 }
 
+Result<json::Json> ShardRouter::LaneTurn::Run(const json::Json& request) const {
+  if (!turn.ok()) return turn.error();
+  return lane->Call(turn.value(), request);
+}
+
+ShardRouter::LaneTurn ShardRouter::TakeTurn(std::size_t worker) {
+  return LaneTurn{lanes_[worker], lanes_[worker]->TakeTurn()};
+}
+
+std::vector<Result<json::Json>> ShardRouter::FanOut(
+    const std::vector<LaneTurn>& turns, const json::Json& request) {
+  std::vector<Result<json::Json>> results(
+      turns.size(), Error{ErrorKind::kUnavailable, "not called"});
+  // One thread per turn: every call is in flight before any is awaited,
+  // so dead workers' transport timeouts overlap instead of adding up.
+  // Each thread writes only its own slot. A turn whose thread cannot
+  // start runs here instead: every taken turn must run, or its lane
+  // stalls.
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    if (turns[i].lane == nullptr) continue;
+    try {
+      threads.emplace_back([&turns, &results, &request, i] {
+        results[i] = turns[i].Run(request);
+      });
+    } catch (const std::system_error&) {
+      results[i] = turns[i].Run(request);
+    }
+  }
+  for (std::thread& thread : threads) thread.join();
+  return results;
+}
+
 json::Json ShardRouter::CallViaLane(std::size_t worker,
                                     const json::Json& request) {
-  std::future<Result<json::Json>> pending;
-  std::shared_ptr<WorkerTransport> direct;
+  LaneTurn turn;
   {
     MutexLock lock(fleetMutex_);
     if (!IsLive(worker)) {
       return RouterError(ErrorKind::kUnavailable,
                          "worker " + std::to_string(worker) + " was removed");
     }
-    // Fast path: an idle, ungated lane is claimed in the same critical
-    // section as the gate check, so no fleet operation can close the
-    // gate between check and claim (see WorkerLane::TryBeginDirect).
-    if (options_.laneFastPath && !gated_[worker] &&
-        lanes_[worker]->TryBeginDirect()) {
-      direct = workers_[worker];
-    } else {
-      pending = lanes_[worker]->Submit(request);
-    }
+    turn = TakeTurn(worker);
   }
-  if (direct != nullptr) {
-    static obs::Counter& directCalls =
-        obs::Registry::Instance().GetCounter("shard.lane.directCalls");
-    directCalls.Increment();
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    auto response = direct->Call(request);
-    {
-      // EndDirect under the fleet mutex: RemoveWorker destroys a lane
-      // only with this mutex held, after Quiesce() — which our claim
-      // blocks — so the lane cannot disappear mid-release.
-      MutexLock lock(fleetMutex_);
-      lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
-    }
-    if (!response.ok()) {
-      return server::MakeErrorResponse(response.error());
-    }
-    return std::move(response).value();
-  }
-  auto response = pending.get();
-  if (!response.ok()) {
-    return server::MakeErrorResponse(response.error());
-  }
-  return std::move(response).value();
+  return ToResponse(turn.Run(request));
 }
 
-json::Json ShardRouter::CallWorkerDirect(std::size_t worker,
-                                         const json::Json& request) {
-  std::shared_ptr<WorkerTransport> transport;
-  {
-    MutexLock lock(fleetMutex_);
-    if (!IsLive(worker)) {
-      return RouterError(ErrorKind::kUnavailable,
-                         "worker " + std::to_string(worker) + " was removed");
-    }
-    transport = workers_[worker];
-  }
-  auto response = transport->Call(request);
-  if (!response.ok()) {
-    return server::MakeErrorResponse(response.error());
-  }
-  return std::move(response).value();
-}
-
-WorkerLane* ShardRouter::CloseGate(std::size_t index) {
+std::shared_ptr<WorkerLane> ShardRouter::CloseGate(std::size_t index) {
   MutexLock lock(fleetMutex_);
   gated_[index] = true;
-  // An admission already submitted to this worker's lane finishes its
-  // round trip and records its placement from the admitting thread;
+  // An admission already holding a turn on this worker's lane finishes
+  // its round trip and records its placement from the admitting thread;
   // wait it out so the drain below starts from a placement map that
   // includes every session the (about to be quiesced) lane produced.
   while (admissionIntents_.find(index) != admissionIntents_.end()) {
     intentsClear_.Wait(fleetMutex_);
   }
-  // Handing the lane out of the mutex section is safe: only RemoveWorker
-  // destroys a lane, fleet operations serialize on fleetOpMutex_ (held by
-  // our caller), and the closed gate keeps new submissions out.
-  return lanes_[index].get();
+  return lanes_[index];
 }
 
 void ShardRouter::OpenGate(std::size_t index) {
@@ -234,23 +226,23 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
   // and they are side-effect-free, so a worker whose process is dead is
   // simply skipped for the next one instead of failing the request. A
   // gated worker (a fleet operation owns it) is skipped the same way
-  // rather than waited for. The request rides each candidate's lane
-  // (the fleet mutex is held only to pick the lane), so a stateless
+  // rather than waited for. The request takes a turn on each candidate's
+  // lane (the fleet mutex is held only to pick the lane), so a stateless
   // command never races the worker's session traffic.
   json::Json lastError = RouterError(ErrorKind::kUnavailable,
                                      "every worker has been removed");
   for (std::size_t i = 0;; ++i) {
-    std::future<Result<json::Json>> pending;
+    LaneTurn turn;
     {
       MutexLock lock(fleetMutex_);
-      if (i >= workers_.size()) break;
+      if (i >= lanes_.size()) break;
       if (!IsLive(i) || gated_[i]) continue;
-      // Submit *under* the mutex — the quiesce barrier's contract is
-      // that no submission can race a fleet operation's closed gate;
-      // only the wait happens unlocked.
-      pending = lanes_[i]->Submit(request);
+      // The turn is taken *under* the mutex — the quiesce barrier's
+      // contract is that no turn can race a fleet operation's closed
+      // gate; only the wait happens unlocked.
+      turn = TakeTurn(i);
     }
-    auto response = pending.get();
+    auto response = turn.Run(request);
     if (response.ok()) return std::move(response).value();
     lastError = server::MakeErrorResponse(response.error());
   }
@@ -258,8 +250,8 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
 }
 
 std::vector<bool> ShardRouter::Eligible() const {
-  std::vector<bool> eligible(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
+  std::vector<bool> eligible(lanes_.size());
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
     eligible[i] = IsLive(i) && !drained_[i];
   }
   return eligible;
@@ -278,7 +270,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // createSession and importSession admit identically: allocate a global
   // id, place it on the ring, forward, and record where it landed. The
   // worker round trip runs *unlocked* — what keeps drains honest is the
-  // placement intent recorded under the mutex before the submit: a drain
+  // placement intent recorded under the mutex with the lane turn: a drain
   // of the target worker closes the gate and waits for the worker's
   // intents to clear, so by the time it reads the placement map, this
   // admission has either finalized its entry or failed. Admissions
@@ -287,7 +279,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // an in-progress drain it is not placed on.
   std::int64_t globalId = 0;
   std::size_t worker = 0;
-  std::future<Result<json::Json>> pending;
+  LaneTurn turn;
   {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
@@ -301,13 +293,10 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
       gateOpen_.Wait(fleetMutex_);
     }
     ++admissionIntents_[worker];
-    pending = lanes_[worker]->Submit(request);
+    turn = TakeTurn(worker);
   }
 
-  auto result = pending.get();
-  json::Json response = result.ok()
-                            ? std::move(result).value()
-                            : server::MakeErrorResponse(result.error());
+  json::Json response = ToResponse(turn.Run(request));
   const bool admitted = IsOk(response);
   {
     MutexLock lock(fleetMutex_);
@@ -334,8 +323,7 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
   const std::int64_t globalId = request.GetInt("sessionId", -1);
   const bool isDelete = request.GetString("command", "") == "deleteSession";
   std::size_t worker = 0;
-  std::future<Result<json::Json>> pending;
-  std::shared_ptr<WorkerTransport> direct;
+  LaneTurn turn;
   json::Json forwarded;
   {
     MutexLock lock(fleetMutex_);
@@ -353,23 +341,15 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
       }
       if (!gated_[placement.worker]) {
         // Session commands (step, run, stepBack, exportSession, ...)
-        // release the mutex and wait on the lane: this is where the
-        // fleet's parallelism comes from. Per-session ordering holds
-        // because a session's requests all enter the same FIFO lane, in
-        // the order their dispatching threads held the mutex.
+        // take a turn on the lane, release the mutex and wait for it:
+        // this is where the fleet's parallelism comes from. Per-session
+        // ordering holds because a session's requests all take turns on
+        // the same FIFO lane, in the order their dispatching threads held
+        // the mutex.
         worker = placement.worker;
         forwarded = request;
         forwarded.Set("sessionId", placement.localId);
-        // Idle lane: skip the enqueue/wake/future hop entirely and run
-        // the call on this thread. Claimed in the same critical section
-        // as the gate check (the TryBeginDirect contract), and FIFO is
-        // trivially preserved — an idle lane has nothing to reorder
-        // against, and the claim makes it busy for everyone else.
-        if (options_.laneFastPath && lanes_[worker]->TryBeginDirect()) {
-          direct = workers_[worker];
-        } else {
-          pending = lanes_[worker]->Submit(std::move(forwarded));
-        }
+        turn = TakeTurn(worker);
         break;
       }
       // A fleet operation owns this session's worker (drain, rebalance,
@@ -379,21 +359,7 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
       gateOpen_.Wait(fleetMutex_);
     }
   }
-  auto result = [&]() -> Result<json::Json> {
-    if (direct == nullptr) return pending.get();
-    static obs::Counter& directCalls =
-        obs::Registry::Instance().GetCounter("shard.lane.directCalls");
-    directCalls.Increment();
-    const std::uint64_t startNs = obs::MonotonicNowNs();
-    auto answer = direct->Call(forwarded);
-    {
-      // See CallViaLane: releasing under the fleet mutex keeps the lane
-      // alive until EndDirect has fully returned.
-      MutexLock lock(fleetMutex_);
-      lanes_[worker]->EndDirect(obs::MonotonicNowNs() - startNs);
-    }
-    return answer;
-  }();
+  auto result = turn.Run(forwarded);
   if (!result.ok()) {
     return server::MakeErrorResponse(result.error());
   }
@@ -432,33 +398,30 @@ json::Json ShardRouter::ListSessions() {
   // the listing is a consistent fleet-topology snapshot — while routing
   // continues, so a concurrent admission or delete may or may not appear
   // (it would not have been part of any serial order either). Worker
-  // queries fan out to every lane before any response is awaited, so the
-  // fleet enumerates in parallel.
+  // queries fan out to every lane at once, so the fleet enumerates in
+  // parallel.
   MutexLock opLock(fleetOpMutex_);
-  std::size_t slots = 0;
   std::map<std::int64_t, Placement> placements;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<LaneTurn> turns;
   {
     MutexLock lock(fleetMutex_);
-    slots = workers_.size();
     placements = placements_;
-    pending = FanOutListSessions();
+    turns = TakeFleetTurns();
   }
+  std::vector<Result<json::Json>> listed =
+      FanOut(turns, Command("listSessions"));
   json::Json response = Ok();
   json::Json list = json::Json::MakeArray();
   json::Json unreachable = json::Json::MakeArray();
   std::int64_t totalBytes = 0;
   std::vector<json::Json> perWorker;
-  perWorker.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    if (!pending[i].valid()) {
+  perWorker.reserve(turns.size());
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    if (turns[i].lane == nullptr) {
       perWorker.push_back(json::Json::MakeObject());
       continue;
     }
-    auto result = pending[i].get();
-    perWorker.push_back(result.ok()
-                            ? std::move(result).value()
-                            : server::MakeErrorResponse(result.error()));
+    perWorker.push_back(ToResponse(std::move(listed[i])));
     // A live slot whose process is dead cannot enumerate its sessions;
     // flag it so the omissions below read as "unreachable", not
     // "deleted" — the sessions still exist and still route (to errors).
@@ -504,30 +467,29 @@ Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
   return load;
 }
 
-std::vector<std::future<Result<json::Json>>> ShardRouter::FanOutListSessions(
+std::vector<ShardRouter::LaneTurn> ShardRouter::TakeFleetTurns(
     std::size_t skip) {
-  json::Json listRequest = json::Json::MakeObject();
-  listRequest.Set("command", "listSessions");
-  std::vector<std::future<Result<json::Json>>> pending(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (i == skip || !IsLive(i)) continue;
-    pending[i] = lanes_[i]->Submit(listRequest);
+  std::vector<LaneTurn> turns(lanes_.size());
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (i != skip && IsLive(i)) turns[i] = TakeTurn(i);
   }
-  return pending;
+  return turns;
 }
 
 ShardRouter::FleetLoads ShardRouter::ProbeLoads(std::size_t skip) {
-  FleetLoads loads;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<LaneTurn> turns;
   {
     MutexLock lock(fleetMutex_);
-    loads.bytes.assign(workers_.size(), 0);
-    loads.reachable.assign(workers_.size(), false);
-    pending = FanOutListSessions(skip);
+    turns = TakeFleetTurns(skip);
   }
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!pending[i].valid()) continue;
-    auto load = ParseLoad(pending[i].get());
+  std::vector<Result<json::Json>> listed =
+      FanOut(turns, Command("listSessions"));
+  FleetLoads loads;
+  loads.bytes.assign(turns.size(), 0);
+  loads.reachable.assign(turns.size(), false);
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    if (turns[i].lane == nullptr) continue;
+    auto load = ParseLoad(std::move(listed[i]));
     if (!load.ok()) continue;
     loads.bytes[i] = load.value().approxBytes;
     loads.reachable[i] = true;
@@ -548,15 +510,15 @@ json::Json ShardRouter::WorkerStats() {
     WorkerLane::Stats lane;
   };
   std::vector<Slot> slots;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<LaneTurn> turns;
   {
     MutexLock lock(fleetMutex_);
-    slots.resize(workers_.size());
-    // Snapshot lane load *before* fanning out the listSessions probes:
+    slots.resize(lanes_.size());
+    // Snapshot lane load *before* taking the listSessions probes' turns:
     // the probes ride the very lanes being measured, so sampling
     // afterwards would report every queue one deep and the probe itself
     // in flight.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
       slots[i].live = IsLive(i);
       if (!slots[i].live) {
         auto slotError = slotErrors_.find(i);
@@ -566,11 +528,13 @@ json::Json ShardRouter::WorkerStats() {
         continue;
       }
       slots[i].drained = drained_[i];
-      slots[i].transport = workers_[i]->Describe();
+      slots[i].transport = lanes_[i]->transport()->Describe();
       slots[i].lane = lanes_[i]->stats();
     }
-    pending = FanOutListSessions();
+    turns = TakeFleetTurns();
   }
+  std::vector<Result<json::Json>> listed =
+      FanOut(turns, Command("listSessions"));
   json::Json response = Ok();
   json::Json list = json::Json::MakeArray();
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -592,7 +556,7 @@ json::Json ShardRouter::WorkerStats() {
               static_cast<std::int64_t>(slots[i].lane.queueDepth));
     entry.Set("inFlight", slots[i].lane.inFlight);
     entry.Set("lastDispatchMs", slots[i].lane.lastDispatchMs);
-    auto load = ParseLoad(pending[i].get());
+    auto load = ParseLoad(std::move(listed[i]));
     if (load.ok()) {
       entry.Set("sessions", static_cast<std::int64_t>(load.value().sessions));
       entry.Set("approxBytes",
@@ -619,30 +583,29 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
   // twice.
   json::Json fleet = obs::MetricsToJson();
 
-  json::Json metricsRequest = json::Json::MakeObject();
-  metricsRequest.Set("command", "metrics");
   struct Slot {
     bool live = false;
-    bool shared = false;  ///< in-process: its numbers are already in fleet
     std::string transport;
   };
   std::vector<Slot> slots;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<LaneTurn> turns;
   {
     MutexLock lock(fleetMutex_);
-    slots.resize(workers_.size());
-    pending.resize(workers_.size());
-    // Fan out to every socket worker before awaiting any response — the
-    // same submit-then-wait shape as FanOutListSessions, so dead workers'
-    // timeouts overlap instead of stacking.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    slots.resize(lanes_.size());
+    turns.resize(lanes_.size());
+    // Fan out to every socket worker at once — the same shape as the
+    // listSessions probes, so dead workers' timeouts overlap instead of
+    // stacking.
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
       slots[i].live = IsLive(i);
       if (!slots[i].live) continue;
-      slots[i].transport = workers_[i]->Describe();
-      slots[i].shared = workers_[i]->LocalServer() != nullptr;
-      if (!slots[i].shared) pending[i] = lanes_[i]->Submit(metricsRequest);
+      slots[i].transport = lanes_[i]->transport()->Describe();
+      if (lanes_[i]->transport()->LocalServer() == nullptr) {
+        turns[i] = TakeTurn(i);
+      }
     }
   }
+  std::vector<Result<json::Json>> answers = FanOut(turns, Command("metrics"));
 
   json::Json workerList = json::Json::MakeArray();
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -654,15 +617,13 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
       continue;
     }
     entry.Set("transport", slots[i].transport);
-    if (!pending[i].valid()) {
+    if (turns[i].lane == nullptr) {
       // In-process worker: its numbers are already part of `fleet`.
       entry.Set("sharedProcess", true);
       workerList.Append(std::move(entry));
       continue;
     }
-    auto result = pending[i].get();
-    json::Json answer = result.ok() ? std::move(result).value()
-                                    : server::MakeErrorResponse(result.error());
+    json::Json answer = ToResponse(std::move(answers[i]));
     json::Json* metrics = answer.Find("metrics");
     if (!IsOk(answer) || metrics == nullptr) {
       entry.Set("unreachable", true);
@@ -687,30 +648,30 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
 
 json::Json ShardRouter::TraceDump() {
   MutexLock opLock(fleetOpMutex_);
-  json::Json traceRequest = json::Json::MakeObject();
-  traceRequest.Set("command", "traceDump");
   std::vector<std::string> transports;
-  std::vector<std::future<Result<json::Json>>> pending;
+  std::vector<LaneTurn> turns;
   {
     MutexLock lock(fleetMutex_);
-    transports.resize(workers_.size());
-    pending.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!IsLive(i) || workers_[i]->LocalServer() != nullptr) continue;
-      transports[i] = workers_[i]->Describe();
-      pending[i] = lanes_[i]->Submit(traceRequest);
+    transports.resize(lanes_.size());
+    turns.resize(lanes_.size());
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (!IsLive(i) || lanes_[i]->transport()->LocalServer() != nullptr) {
+        continue;
+      }
+      transports[i] = lanes_[i]->transport()->Describe();
+      turns[i] = TakeTurn(i);
     }
   }
+  std::vector<Result<json::Json>> answers =
+      FanOut(turns, Command("traceDump"));
 
   json::Json workerList = json::Json::MakeArray();
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!pending[i].valid()) continue;  // removed or shares this ring
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    if (turns[i].lane == nullptr) continue;  // removed or shares this ring
     json::Json entry = json::Json::MakeObject();
     entry.Set("worker", static_cast<std::int64_t>(i));
     entry.Set("transport", transports[i]);
-    auto result = pending[i].get();
-    json::Json answer = result.ok() ? std::move(result).value()
-                                    : server::MakeErrorResponse(result.error());
+    json::Json answer = ToResponse(std::move(answers[i]));
     json::Json* trace = answer.Find("trace");
     if (!IsOk(answer) || trace == nullptr) {
       entry.Set("unreachable", true);
@@ -755,19 +716,19 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   {
     MutexLock lock(fleetMutex_);
     deltaExport = options_.deltaBlobs && IsLive(destination) &&
-                  workers_[destination]->SupportsDeltaBlobs();
+                  lanes_[destination]->transport()->SupportsDeltaBlobs();
   }
 
-  // Source-side calls go straight down the transport: the caller closed
-  // the source worker's gate and quiesced its lane, so the lane is idle
-  // and stays idle (every submission path checks the gate) — the
-  // transport is ours until the gate reopens.
+  // Source-side calls ride the source's lane like every other call: the
+  // caller closed the source worker's gate and quiesced its lane, so no
+  // one else takes a turn there (every turn-taking path checks the gate)
+  // and our turns come up at once.
   auto exportFrom = [&](bool delta) {
     json::Json exportRequest = json::Json::MakeObject();
     exportRequest.Set("command", "exportSession");
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
-    return CallWorkerDirect(source.worker, exportRequest);
+    return CallViaLane(source.worker, exportRequest);
   };
   auto exportFailed = [&](const json::Json& exported) {
     {
@@ -842,7 +803,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   json::Json deleteRequest = json::Json::MakeObject();
   deleteRequest.Set("command", "deleteSession");
   deleteRequest.Set("sessionId", source.localId);
-  json::Json deleted = CallWorkerDirect(source.worker, deleteRequest);
+  json::Json deleted = CallViaLane(source.worker, deleteRequest);
   if (!IsOk(deleted)) {
     // Failing to delete would leave two live copies; roll the import back
     // so the mapping stays unambiguous.
@@ -896,14 +857,11 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   // Per-session byte estimates for the drained worker, and one fleet-wide
   // load snapshot, both taken once: the loop below keeps the destination
   // loads current incrementally instead of re-walking every worker's
-  // session table per move. The source is listed directly (its lane is
-  // quiesced behind the closed gate); the peers are probed through their
-  // lanes.
+  // session table per move. The source (quiesced behind the closed gate)
+  // is listed on its own; the probe below skips it.
   std::map<std::int64_t, std::uint64_t> sessionBytes;
   {
-    json::Json listRequest = json::Json::MakeObject();
-    listRequest.Set("command", "listSessions");
-    const json::Json listed = CallWorkerDirect(index, listRequest);
+    const json::Json listed = CallViaLane(index, Command("listSessions"));
     if (sourceReachable != nullptr) *sourceReachable = IsOk(listed);
     const auto localIndex = IndexSessions(listed);
     for (const Victim& victim : toMove) {
@@ -960,7 +918,7 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
   std::size_t index = 0;
   {
     MutexLock lock(fleetMutex_);
-    if (worker < 0 || worker >= static_cast<std::int64_t>(workers_.size()) ||
+    if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
         !IsLive(static_cast<std::size_t>(worker))) {
       return RouterError(ErrorKind::kInvalidArgument,
                          "unknown worker " + std::to_string(worker));
@@ -972,10 +930,10 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
     drained_[index] = true;
   }
   obs::ScopedSpan span("fleet", "drainWorker");
-  WorkerLane* lane = CloseGate(index);
+  std::shared_ptr<WorkerLane> lane = CloseGate(index);
   {
-    // The quiesce barrier: wait out any request already in the worker's
-    // lane (an in-flight `run` completes; its client gets a normal
+    // The quiesce barrier: wait out every turn already taken on the
+    // worker's lane (an in-flight `run` completes; its client gets a normal
     // response). New requests for the worker's sessions block on the
     // gate and execute after the drain, against the sessions' new homes
     // — traffic for every other worker flows the whole time.
@@ -1012,7 +970,7 @@ json::Json ShardRouter::OpenWorker(const json::Json& request) {
   MutexLock opLock(fleetOpMutex_);
   MutexLock lock(fleetMutex_);
   const std::int64_t worker = request.GetInt("worker", -1);
-  if (worker < 0 || worker >= static_cast<std::int64_t>(workers_.size()) ||
+  if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
       !IsLive(static_cast<std::size_t>(worker))) {
     return RouterError(ErrorKind::kInvalidArgument,
                        "unknown worker " + std::to_string(worker));
@@ -1030,7 +988,7 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   std::size_t index = 0;
   {
     MutexLock lock(fleetMutex_);
-    index = workers_.size();
+    index = lanes_.size();
   }
   Result<std::shared_ptr<WorkerTransport>> transport = [&]()
       -> Result<std::shared_ptr<WorkerTransport>> {
@@ -1047,27 +1005,24 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
   }
 
   // Probe before committing the slot: a bogus address or a worker that
-  // died during spawn must not claim an arc of the ring. The transport
-  // has no lane yet, so the call is direct.
-  json::Json probe = json::Json::MakeObject();
-  probe.Set("command", "listSessions");
-  auto probed = transport.value()->Call(probe);
+  // died during spawn must not claim an arc of the ring. No one else
+  // holds the new lane yet, so the probe's turn comes up at once.
+  auto lane = std::make_shared<WorkerLane>(std::move(transport).value(),
+                                           options_.maxLaneQueueDepth);
+  const std::string describe = lane->transport()->Describe();
+  auto probed = lane->Call(Command("listSessions"));
   if (!probed.ok()) {
     return RouterError(ErrorKind::kUnavailable,
-                       "new worker " + transport.value()->Describe() +
+                       "new worker " + describe +
                            " failed its probe: " + probed.error().message);
   }
 
-  std::string describe;
   {
     MutexLock lock(fleetMutex_);
-    workers_.push_back(std::move(transport).value());
-    lanes_.push_back(std::make_unique<WorkerLane>(
-        workers_.back(), options_.maxLaneQueueDepth));
+    lanes_.push_back(std::move(lane));
     drained_.push_back(false);
     gated_.push_back(false);
     ring_.AddWorker();
-    describe = workers_[index]->Describe();
   }
   span.SetDetail(StrFormat("worker=%zu transport=%s", index,
                            describe.c_str()));
@@ -1083,23 +1038,20 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   const std::int64_t worker = request.GetInt("worker", -1);
   const bool force = request.GetBool("force", false);
   std::size_t index = 0;
-  // Snapshotted under the fleet mutex; the shared_ptr keeps the transport
-  // alive for the unlocked shutdown round trip below even after the slot
-  // is nulled out.
-  std::shared_ptr<WorkerTransport> transport;
   {
     MutexLock lock(fleetMutex_);
-    if (worker < 0 || worker >= static_cast<std::int64_t>(workers_.size()) ||
+    if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
         !IsLive(static_cast<std::size_t>(worker))) {
       return RouterError(ErrorKind::kInvalidArgument,
                          "unknown worker " + std::to_string(worker));
     }
     index = static_cast<std::size_t>(worker);
     drained_[index] = true;
-    transport = workers_[index];
   }
   obs::ScopedSpan span("fleet", "removeWorker");
-  WorkerLane* lane = CloseGate(index);
+  // The shared_ptr keeps the lane (and its transport) alive for the
+  // unlocked shutdown round trip below even after the slot is nulled out.
+  std::shared_ptr<WorkerLane> lane = CloseGate(index);
   {
     obs::ScopedSpan quiesceSpan("fleet", "quiesce");
     quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
@@ -1139,14 +1091,12 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   // Graceful stop for process workers; in-process workers just go away
   // with their transport. A worker the drain already proved dead gets no
   // shutdown round trip — it could only burn the connect timeout. The
-  // lane is quiesced behind the closed gate, so the shutdown goes
-  // straight down the (snapshotted) transport, unlocked.
-  const bool processWorker = transport->LocalServer() == nullptr;
-  const std::string address = transport->Describe();
+  // lane is quiesced behind the closed gate, so the shutdown's turn
+  // comes up at once.
+  const bool processWorker = lane->transport()->LocalServer() == nullptr;
+  const std::string address = lane->transport()->Describe();
   if (processWorker && sourceReachable) {
-    json::Json shutdown = json::Json::MakeObject();
-    shutdown.Set("command", "shutdownWorker");
-    (void)transport->Call(shutdown);
+    (void)lane->Call(Command("shutdownWorker"));
   }
   {
     MutexLock lock(fleetMutex_);
@@ -1158,12 +1108,11 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       lost.Append(json::Json(globalId));
     }
     ring_.RemoveWorker(index);
-    // The lane was quiesced above and no submission can have raced past
-    // the closed gate, so Stop() finds an empty queue — nothing to
-    // orphan, and the (idle) thread joins without blocking this mutex.
-    lanes_[index]->Stop();
+    // The lane was quiesced above and no turn can have raced past the
+    // closed gate, so Stop() finds no caller waiting; it answers any
+    // that still holds a copy of the lane and tries to take a turn.
+    lane->Stop();
     lanes_[index] = nullptr;
-    workers_[index] = nullptr;
     gated_[index] = false;
     if (processWorker && options_.onWorkerShutdown) {
       // Let the process owner reap the worker now — whether it exited
@@ -1252,9 +1201,7 @@ json::Json ShardRouter::Rebalance() {
 
     // Smallest session on the most loaded worker (ties -> lowest global
     // id): smallest first avoids overshooting the mean.
-    json::Json listRequest = json::Json::MakeObject();
-    listRequest.Set("command", "listSessions");
-    const json::Json sessions = CallWorkerDirect(most, listRequest);
+    const json::Json sessions = CallViaLane(most, Command("listSessions"));
     const auto localIndex = IndexSessions(sessions);
     std::int64_t candidate = -1;
     std::int64_t candidateBytes = std::numeric_limits<std::int64_t>::max();

@@ -41,13 +41,15 @@
 //
 // Concurrency model (see shard/lane.h and docs/sharding.md):
 //
-//   * Every worker has a dispatch lane — a FIFO queue plus executor
-//     thread over its one transport connection. Handle()/HandleRaw() are
-//     thread-safe: session-bound commands are enqueued on the owning
-//     worker's lane and executed concurrently *across* lanes, strictly
-//     in order *within* one. Per-session ordering follows from
+//   * Every worker has a dispatch lane — FIFO turns over its one
+//     transport connection, with no thread of its own. Handle()/
+//     HandleRaw() are thread-safe: a session-bound command takes a turn
+//     on the owning worker's lane under the fleet mutex, then waits for
+//     the turn and runs the worker call on the calling thread with the
+//     mutex released. Calls run concurrently *across* lanes, strictly in
+//     turn order *within* one. Per-session ordering follows from
 //     session→worker affinity; N workers simulate in parallel.
-//   * Router state (placements_, ring_, workers_, drained_, gated_) is
+//   * Router state (placements_, ring_, lanes_, drained_, gated_) is
 //     protected by one fleet mutex, held only for routing decisions and
 //     bookkeeping — never while a worker round trip is in flight.
 //   * createSession / importSession record a placement *intent* (a
@@ -65,20 +67,26 @@
 //     operation that moves a worker's sessions closes that worker's
 //     *placement gate* (gated_) under the fleet mutex, waits for the
 //     worker's admission intents to clear, then *quiesces* its lane:
-//     the barrier waits until the lane is idle, and because every
-//     submission path checks the gate under the fleet mutex, the lane
-//     stays idle until the gate reopens. Commands for the gated worker's
+//     the barrier waits until every turn taken on it has run, and
+//     because every turn-taking path checks the gate under the fleet
+//     mutex, only the fleet operation's own calls ride the lane until
+//     the gate reopens. Commands for the gated worker's
 //     sessions block on the gate and re-resolve their placement when it
 //     opens (their sessions may have moved); everything aimed at other
 //     workers flows freely. An export therefore still always observes a
 //     session between requests, never inside one — the PR 4 safety
 //     argument, re-established with the stall confined to the worker
 //     being reorganized.
-//   * Lock order: fleet-op mutex before fleet mutex; the fleet mutex is
-//     never held while acquiring the fleet-op mutex, a future is awaited,
-//     or a transport is called (the one exception: RemoveWorker stops a
-//     quiesced — hence empty — lane under the fleet mutex, which cannot
-//     block).
+//   * Fleet snapshots (listSessions, the load probes, workerStats,
+//     metrics, traceDump) take a turn on every lane they query under the
+//     fleet mutex, then run the calls concurrently, one thread per call
+//     (FanOut), so dead workers' timeouts overlap instead of adding up.
+//   * Lanes are held by shared_ptr; a caller copies its lane under the
+//     fleet mutex with its turn, so a removeWorker that drops the slot
+//     meanwhile cannot destroy the lane under it.
+//   * Lock order: fleet-op mutex, fleet mutex, lane mutex. The fleet
+//     mutex is never held while acquiring the fleet-op mutex, waiting
+//     for a lane turn, or calling a transport.
 //
 // drainWorker exports every session on the (quiesced) worker and imports
 // each onto the least-loaded *reachable* non-drained peer, then deletes
@@ -102,7 +110,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -135,12 +142,12 @@ class ShardRouter {
     std::vector<server::SimServer::Limits> perWorkerLimits;
     /// rebalance moves sessions while max-load / mean-load > threshold.
     double rebalanceSkewThreshold = 1.5;
-    /// Per-worker lane queue depth cap: submissions beyond it are
-    /// answered immediately with a retryable kUnavailable load-shed
-    /// error instead of queueing without bound (see shard/lane.h).
-    /// 0 = unbounded, the pre-gateway behavior. The cap applies to
-    /// everything riding the lane — including fleet-operation probes, so
-    /// a saturated fleet sheds drains too rather than deadlocking them.
+    /// Per-worker lane queue depth cap: callers beyond it are answered
+    /// immediately with a retryable kUnavailable load-shed error instead
+    /// of waiting without bound (see shard/lane.h). 0 = unbounded, the
+    /// pre-gateway behavior. The cap applies to everything riding the
+    /// lane — including fleet-operation probes, so a saturated fleet
+    /// sheds drains too rather than deadlocking them.
     std::size_t maxLaneQueueDepth = 0;
     std::size_t virtualNodesPerWorker = 64;
     /// Transport constructor; default builds InProcessTransport. A
@@ -154,14 +161,6 @@ class ShardRouter {
     /// full image — this flag is a wire-size optimization, never a
     /// correctness risk; disabling it restores the PR 8 full-image wire.
     bool deltaBlobs = true;
-    /// Caller-runs fast path: when a session command arrives and its
-    /// worker's lane is completely idle, run the transport call on the
-    /// dispatching thread instead of enqueue/wake/future (see
-    /// WorkerLane::TryBeginDirect). Per-session FIFO order and the
-    /// quiesce barrier are preserved — the claim happens in the same
-    /// fleet-mutex section as the gate check, and a claimed lane counts
-    /// as busy for Quiesce().
-    bool laneFastPath = true;
     /// Socket options for transports the router creates itself
     /// (`addWorker {address}`).
     SocketTransportOptions socketOptions;
@@ -216,31 +215,47 @@ class ShardRouter {
     std::vector<bool> reachable;      ///< false for removed/unreachable
   };
 
+  /// A turn taken on one worker's lane under the fleet mutex, to be run
+  /// with the mutex released. The lane copy keeps the lane alive past a
+  /// concurrent removeWorker; a refused turn (shed, stopped lane)
+  /// carries its error. A default LaneTurn (no lane) took no turn.
+  struct LaneTurn {
+    std::shared_ptr<WorkerLane> lane;
+    Result<WorkerLane::Turn> turn = Error{ErrorKind::kInternal, "no turn"};
+    /// Waits for the turn and runs the call on this thread.
+    Result<json::Json> Run(const json::Json& request) const;
+  };
+
   json::Json Dispatch(const json::Json& request);
 
-  // None of the private methods below may be called from a lane thread.
-  // Unless a comment says otherwise they take their own (brief) fleet
-  // mutex sections and must be called *without* fleetMutex_ held.
+  // Unless a comment says otherwise the private methods below take their
+  // own (brief) fleet mutex sections and must be called *without*
+  // fleetMutex_ held.
 
-  /// One request through worker's lane: submit under a brief fleet mutex
-  /// section, wait unlocked. Transport failures become error JSON.
+  /// Takes a turn on live worker `worker`'s lane. Every caller must Run
+  /// the turn it took; a turn never run stalls the lane.
+  LaneTurn TakeTurn(std::size_t worker) REQUIRES(fleetMutex_);
+  /// Takes a turn on every live lane except `skip`; slot-aligned.
+  std::vector<LaneTurn> TakeFleetTurns(
+      std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
+  /// Runs `request` on every taken turn concurrently. Results are
+  /// slot-aligned; slots that took no turn hold an error.
+  static std::vector<Result<json::Json>> FanOut(
+      const std::vector<LaneTurn>& turns, const json::Json& request);
+  /// One request through worker's lane: take a turn under a brief fleet
+  /// mutex section, run it unlocked. Ignores the placement gate — fleet
+  /// operations use it on the worker they gated. Transport failures
+  /// become error JSON.
   json::Json CallViaLane(std::size_t worker, const json::Json& request)
-      EXCLUDES(fleetMutex_);
-  /// One request straight down the transport, bypassing the lane. Only
-  /// for workers whose lane is quiesced behind a closed gate (fleet ops)
-  /// or not yet built (addWorker's probe).
-  json::Json CallWorkerDirect(std::size_t worker, const json::Json& request)
       EXCLUDES(fleetMutex_);
 
   /// Closes worker `index`'s placement gate and waits for its in-flight
   /// admission intents to clear; gates are only ever closed by fleet
   /// operations, hence REQUIRES(fleetOpMutex_). Returns the worker's lane
   /// — fetched under the fleet mutex — so the caller can quiesce it
-  /// without re-locking; the pointer stays valid until OpenGate because
-  /// only RemoveWorker destroys lanes and fleet operations serialize on
-  /// fleetOpMutex_. After CloseGate the caller quiesces the lane and owns
-  /// the worker until OpenGate.
-  WorkerLane* CloseGate(std::size_t index)
+  /// without re-locking. After CloseGate the caller quiesces the lane and
+  /// owns the worker until OpenGate.
+  std::shared_ptr<WorkerLane> CloseGate(std::size_t index)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
   void OpenGate(std::size_t index)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
@@ -304,22 +319,15 @@ class ShardRouter {
   /// the single place that knows the response shape (ProbeLoads and
   /// WorkerStats both feed through it).
   static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
-  /// Submits a listSessions probe to every live lane except `skip`,
-  /// before any response is awaited — sequential probing would stack
-  /// dead workers' transport timeouts end to end. Returns one future per
-  /// slot (invalid where nothing was submitted). Expects fleetMutex_
-  /// held for the submissions; the caller awaits unlocked.
-  std::vector<std::future<Result<json::Json>>> FanOutListSessions(
-      std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
-  /// `skip` (if valid) is reported unreachable without being probed —
-  /// drain uses it for the quiesced source worker, which must not be
-  /// handed new lane work while the barrier holds. Locks itself.
+  /// Probes every live worker's load concurrently. `skip` (if valid) is
+  /// reported unreachable without being probed — drain uses it for the
+  /// quiesced source worker, which it lists itself. Locks itself.
   FleetLoads ProbeLoads(std::size_t skip = static_cast<std::size_t>(-1))
       EXCLUDES(fleetMutex_);
   /// Workers admitting new sessions (live and not drained).
   std::vector<bool> Eligible() const REQUIRES(fleetMutex_);
   bool IsLive(std::size_t worker) const REQUIRES(fleetMutex_) {
-    return worker < workers_.size() && workers_[worker] != nullptr;
+    return worker < lanes_.size() && lanes_[worker] != nullptr;
   }
   /// Placement for a new session id; error when every worker is drained.
   Result<std::size_t> PlaceNew(std::int64_t globalId) REQUIRES(fleetMutex_);
@@ -329,8 +337,8 @@ class ShardRouter {
       std::size_t worker, const server::SimServer::Limits& limits);
 
   Options options_;
-  /// Guards every mutable member below. Lane threads never take it, and
-  /// no worker round trip is awaited while it is held. (Declared before
+  /// Guards every mutable member below. No lane turn is waited for and
+  /// no worker round trip is made while it is held. (Declared before
   /// fleetOpMutex_ only so ACQUIRED_BEFORE can name it; the lock *order*
   /// is fleetOpMutex_ first.)
   mutable Mutex fleetMutex_;
@@ -338,18 +346,13 @@ class ShardRouter {
   /// the stats/list/metrics/trace snapshots) against each other without
   /// blocking routing. Lock order: always before fleetMutex_ (the
   /// ACQUIRED_BEFORE below), and every mutation of the fleet topology
-  /// (workers_/lanes_/ring_ growth or removal) happens with *both* held.
+  /// (lanes_/ring_ growth or removal) happens with *both* held.
   Mutex fleetOpMutex_ ACQUIRED_BEFORE(fleetMutex_);
   HashRing ring_ GUARDED_BY(fleetMutex_);
-  std::vector<std::shared_ptr<WorkerTransport>> workers_
-      GUARDED_BY(fleetMutex_);
-  /// Dispatch lane per slot, parallel to workers_ (nullptr when removed).
-  /// Dispatchers block on a Submit()'s future after releasing the fleet
-  /// mutex without keeping the lane alive — that is safe because a
-  /// promise's shared state outlives the lane, and RemoveWorker resolves
-  /// every job before destroying one (quiesce under the held mutex, then
-  /// Stop answers any straggler): no future is ever abandoned.
-  std::vector<std::unique_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
+  /// Dispatch lane per slot, owning the slot's transport (nullptr when
+  /// removed). Callers copy the shared_ptr with their turn, so a lane
+  /// outlives its slot for as long as someone still waits on it.
+  std::vector<std::shared_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
   std::vector<bool> drained_ GUARDED_BY(fleetMutex_);
   /// Per-worker placement gate: true while a fleet operation owns the
   /// worker (quiesced lane, sessions in motion). Submissions aimed at a

@@ -150,114 +150,4 @@ Result<json::Json> SocketTransport::Call(const json::Json& request) {
   return Error{ErrorKind::kInternal, "unreachable"};
 }
 
-std::vector<Result<json::Json>> SocketTransport::CallBatch(
-    const std::vector<const json::Json*>& requests) {
-  std::vector<Result<json::Json>> results;
-  if (requests.empty()) return results;
-  if (requests.size() == 1) {
-    // Call() keeps the single-request write-retry semantics.
-    results.push_back(Call(*requests[0]));
-    return results;
-  }
-  server::WireOptions wire;
-  wire.ioTimeoutMs = options_.ioTimeoutMs;
-  wire.maxFrameBytes = options_.maxFrameBytes;
-
-  // Pre-split every request exactly like Call() does, once, outside the
-  // retry loop. Blobs stay borrowed views on the caller's documents.
-  struct Framed {
-    std::string text;
-    std::string_view blob;
-  };
-  SocketMetrics& metrics = SocketMetrics::Get();
-  std::vector<Framed> frames;
-  frames.reserve(requests.size());
-  for (const json::Json* request : requests) {
-    Framed framed;
-    if (request->IsObject() && request->Find("blob") != nullptr) {
-      json::Json trimmed = json::Json::MakeObject();
-      for (const auto& [key, value] : request->AsObject()) {
-        if (key == "blob" && value.IsString() && !value.AsString().empty()) {
-          framed.blob = value.AsString();
-        } else {
-          trimmed.Set(key, value);
-        }
-      }
-      framed.text = trimmed.Dump();
-    } else {
-      framed.text = request->Dump();
-    }
-    metrics.calls.Increment();
-    metrics.requestBytes.Add(framed.text.size());
-    metrics.blobBytes.Add(framed.blob.size());
-    frames.push_back(std::move(framed));
-  }
-
-  // Pipeline: write every frame, then read the responses in order. Retry
-  // (reconnect + resend the whole batch, once) is only safe when *zero*
-  // frames were delivered — after the first complete frame the worker may
-  // have executed it, so a mid-batch write failure fails closed instead:
-  // delivered-but-unanswered requests report kInternal (ambiguous),
-  // never-sent ones report retryable kUnavailable.
-  const std::uint64_t startNs = obs::MonotonicNowNs();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    Status connected = EnsureConnected();
-    if (!connected.ok()) {
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        results.push_back(connected.error());
-      }
-      return results;
-    }
-    std::size_t written = 0;
-    Status writeStatus = Status::Ok();
-    for (; written < frames.size(); ++written) {
-      writeStatus = server::WriteFrame(connection_, frames[written].text,
-                                       frames[written].blob, wire);
-      if (!writeStatus.ok()) break;
-    }
-    if (!writeStatus.ok() && written == 0) {
-      connection_.Close();
-      if (attempt == 0) continue;
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        results.push_back(Error{ErrorKind::kUnavailable,
-                                "send to worker " + address_ + " failed: " +
-                                    writeStatus.error().message});
-      }
-      return results;
-    }
-    bool readFailed = false;
-    for (std::size_t i = 0; i < written; ++i) {
-      auto response = server::ReadMessage(connection_, wire);
-      if (!response.ok()) {
-        connection_.Close();
-        readFailed = true;
-        for (std::size_t j = i; j < written; ++j) {
-          results.push_back(
-              Error{ErrorKind::kInternal,
-                    "no response from worker " + address_ + ": " +
-                        response.error().message +
-                        " (request may or may not have executed)"});
-        }
-        break;
-      }
-      results.push_back(std::move(response).value());
-    }
-    if (!readFailed && !writeStatus.ok()) {
-      // The stream is desynced mid-frame even though the responses for
-      // the delivered prefix arrived; the connection cannot be reused.
-      connection_.Close();
-    }
-    for (std::size_t i = written; i < frames.size(); ++i) {
-      results.push_back(Error{ErrorKind::kUnavailable,
-                              "send to worker " + address_ + " failed: " +
-                                  writeStatus.error().message});
-    }
-    if (!readFailed) {
-      metrics.rttUs.Record((obs::MonotonicNowNs() - startNs) / 1000);
-    }
-    return results;
-  }
-  return results;
-}
-
 }  // namespace rvss::shard

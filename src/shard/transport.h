@@ -7,6 +7,10 @@
 // frame) come back as errors — distinct from a worker's own JSON error
 // responses, which are successful Calls whose payload says "error".
 //
+// A transport is not thread-safe and need not be: its WorkerLane
+// (shard/lane.h) owns it, and only the caller holding the lane's turn
+// calls it, one request at a time, on that caller's own thread.
+//
 // Two implementations:
 //
 //   InProcessTransport  wraps a SimServer in this process; Call is a
@@ -29,7 +33,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/socket.h"
 #include "common/status.h"
@@ -48,20 +51,6 @@ class WorkerTransport {
   /// means the transport failed — the worker may or may not have seen
   /// the request; the caller must fail closed (report, don't assume).
   virtual Result<json::Json> Call(const json::Json& request) = 0;
-
-  /// Dispatches `requests` in order and returns one result per request,
-  /// index-aligned. The default loops Call(); transports with a real wire
-  /// override it to pipeline the whole batch into fewer writes (the lane's
-  /// coalesced fast path). Same failure contract as Call(), per entry.
-  virtual std::vector<Result<json::Json>> CallBatch(
-      const std::vector<const json::Json*>& requests) {
-    std::vector<Result<json::Json>> results;
-    results.reserve(requests.size());
-    for (const json::Json* request : requests) {
-      results.push_back(Call(*request));
-    }
-    return results;
-  }
 
   /// True when the peer can decode base-referenced delta session blobs
   /// (snapshot format v3). Learned from the hello handshake for sockets;
@@ -118,8 +107,6 @@ class SocketTransport : public WorkerTransport {
                            SocketTransportOptions options = {});
 
   Result<json::Json> Call(const json::Json& request) override;
-  std::vector<Result<json::Json>> CallBatch(
-      const std::vector<const json::Json*>& requests) override;
   bool SupportsDeltaBlobs() const override {
     // Set after each hello handshake; false while disconnected, which is
     // the conservative answer (a full image is always decodable).
@@ -135,8 +122,8 @@ class SocketTransport : public WorkerTransport {
   std::string address_;
   SocketTransportOptions options_;
   net::Socket connection_;
-  /// Atomic: read by the router's migration planner while the lane's
-  /// executor thread owns the connection.
+  /// Atomic: read by the router's migration planner while the caller
+  /// holding the lane's turn owns the connection.
   std::atomic<bool> peerDeltaBlobs_{false};
 };
 

@@ -60,6 +60,34 @@ TEST(Config, ValidationCollectsAllProblems) {
   EXPECT_GE(problems.size(), 6u);
 }
 
+TEST(Config, OversizedAllocationsAreConfigErrors) {
+  // Each of these once killed the process (bad_alloc abort or the OOM
+  // killer) instead of being refused.
+  config::CpuConfig cache = config::DefaultConfig();
+  cache.cache.enabled = true;
+  cache.cache.lineCount = 1073741824;
+  cache.cache.associativity = 1;
+  cache.cache.lineSizeBytes = 4096;
+  config::CpuConfig predictor = config::DefaultConfig();
+  predictor.predictor.btbSize = 1073741824;
+  predictor.predictor.phtSize = 1073741824;
+  config::CpuConfig memory = config::DefaultConfig();
+  memory.memory.sizeBytes = 4000000000u;
+  for (const config::CpuConfig& oversized : {cache, predictor, memory}) {
+    const std::vector<Error> problems = config::Validate(oversized);
+    ASSERT_FALSE(problems.empty());
+    for (const Error& problem : problems) {
+      EXPECT_EQ(problem.kind, ErrorKind::kConfig) << problem.message;
+    }
+  }
+  // Every preset stays inside the bounds.
+  for (const config::CpuConfig& preset :
+       {config::DefaultConfig(), config::ScalarConfig(),
+        config::WideConfig(), config::NoCacheConfig()}) {
+    EXPECT_TRUE(config::Validate(preset).empty());
+  }
+}
+
 TEST(Config, MissingFunctionalUnitsAreReported) {
   config::CpuConfig config = config::DefaultConfig();
   config.functionalUnits.clear();

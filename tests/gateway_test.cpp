@@ -8,8 +8,9 @@
 // admission-overlap test at the bottom pins the PR's router change: a
 // createSession must not serialize behind an in-progress drain of an
 // unrelated worker. Alongside ride the front-door bugfix regressions:
-// ServeFrames surviving transient accept failures, and WorkerLane's
-// refusal errors being kUnavailable.
+// ServeFrames surviving transient accept failures, WorkerLane's refusal
+// errors being kUnavailable, the lane's turn protocol (FIFO order,
+// quiesce, stop), and client inputs that once crashed the process.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -677,23 +678,29 @@ TEST(ServeFrames, TransientAcceptFailuresAreCountedAndRetried) {
   serveThread.join();
 }
 
-// ---- satellite: lane refusals are retryable kUnavailable -------------------
+// ---- lane refusals are retryable kUnavailable -------------------------------
 
 TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
   auto blocking = std::make_shared<BlockingTransport>("work");
   shard::WorkerLane lane(blocking, /*maxQueueDepth=*/1);
 
-  auto inFlight = lane.Submit(Cmd("work"));
+  auto inFlight =
+      std::async(std::launch::async, [&lane] { return lane.Call(Cmd("work")); });
   for (int i = 0; i < 500 && blocking->entered() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(blocking->entered(), 1);
-  auto queued = lane.Submit(Cmd("work"));
+  auto queuedTurn = lane.TakeTurn();
+  ASSERT_TRUE(queuedTurn.ok());
+  auto queued = std::async(std::launch::async, [&lane, &queuedTurn] {
+    return lane.Call(queuedTurn.value(), Cmd("work"));
+  });
 
-  auto shed = lane.Submit(Cmd("work"));
-  // A load shed resolves immediately — backpressure that queues the
-  // refusal would be no backpressure at all.
-  ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
+  auto shed =
+      std::async(std::launch::async, [&lane] { return lane.Call(Cmd("work")); });
+  // A load shed resolves while the lane is still blocked — backpressure
+  // that queues the refusal would be no backpressure at all.
+  ASSERT_EQ(shed.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   auto shedResult = shed.get();
   ASSERT_FALSE(shedResult.ok());
@@ -710,12 +717,217 @@ TEST(WorkerLane, StoppedLaneAnswersRetryableUnavailable) {
       std::make_shared<shard::InProcessTransport>(server::SimServer::Limits{});
   shard::WorkerLane lane(transport);
   lane.Stop();
-  auto refused = lane.Submit(Cmd("parseAsm", {{"code", json::Json("x")}}));
-  ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
+  auto refused = std::async(std::launch::async, [&lane] {
+    return lane.Call(Cmd("parseAsm", {{"code", json::Json("x")}}));
+  });
+  ASSERT_EQ(refused.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   auto result = refused.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ErrorKind::kUnavailable);
+}
+
+// ---- the turn protocol -----------------------------------------------------
+
+/// Records the `id` of every call in arrival order, and whether two calls
+/// ever overlapped. Yields inside each call so waiting callers pile up.
+class RecordingTransport : public shard::WorkerTransport {
+ public:
+  Result<json::Json> Call(const json::Json& request) override {
+    if (inside_.fetch_add(1) != 0) overlapped_.store(true);
+    order_.push_back(request.GetInt("id", -1));
+    std::this_thread::yield();
+    inside_.fetch_sub(1);
+    json::Json response = json::Json::MakeObject();
+    response.Set("status", "ok");
+    return response;
+  }
+  std::string Describe() const override { return "recording"; }
+
+  /// Read only after every caller has joined.
+  const std::vector<std::int64_t>& order() const { return order_; }
+  bool overlapped() const { return overlapped_.load(); }
+
+ private:
+  std::atomic<int> inside_{0};
+  std::atomic<bool> overlapped_{false};
+  std::vector<std::int64_t> order_;
+};
+
+TEST(WorkerLane, CallsRunInTheOrderTurnsWereTaken) {
+  auto recorder = std::make_shared<RecordingTransport>();
+  shard::WorkerLane lane(recorder);
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 200;
+
+  // Turns are taken under one mutex that also logs them, the way the
+  // router takes them under its fleet mutex: the log is the turn order.
+  std::mutex takeMutex;
+  std::vector<std::int64_t> taken;
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int k = 0; k < kCallsPerThread; ++k) {
+        const std::int64_t id = t * kCallsPerThread + k;
+        shard::WorkerLane::Turn turn = 0;
+        {
+          std::lock_guard<std::mutex> lock(takeMutex);
+          auto took = lane.TakeTurn();
+          if (!took.ok()) {
+            errors[t] = took.error().message;
+            return;
+          }
+          turn = took.value();
+          taken.push_back(id);
+        }
+        auto answer = lane.Call(turn, Cmd("work", {{"id", json::Json(id)}}));
+        if (!answer.ok()) {
+          errors[t] = answer.error().message;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (const std::string& error : errors) ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(taken.size(), static_cast<std::size_t>(kThreads * kCallsPerThread));
+  EXPECT_EQ(recorder->order(), taken);
+  EXPECT_FALSE(recorder->overlapped()) << "two calls ran on the transport";
+  const shard::WorkerLane::Stats stats = lane.stats();
+  EXPECT_EQ(stats.dispatched, taken.size());
+  EXPECT_EQ(stats.queueDepth, 0u);
+  EXPECT_FALSE(stats.inFlight);
+}
+
+TEST(WorkerLane, QuiesceWaitsForACallerStillWaitingForItsTurn) {
+  auto blocking = std::make_shared<BlockingTransport>("work");
+  shard::WorkerLane lane(blocking);
+
+  auto running =
+      std::async(std::launch::async, [&lane] { return lane.Call(Cmd("work")); });
+  for (int i = 0; i < 500 && blocking->entered() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(blocking->entered(), 1);
+  // A second caller takes its turn but has not run yet.
+  auto waiting = lane.TakeTurn();
+  ASSERT_TRUE(waiting.ok());
+
+  auto quiesced = std::async(std::launch::async, [&lane] { lane.Quiesce(); });
+  EXPECT_EQ(quiesced.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "Quiesce returned while a call was running";
+  blocking->Release();
+  ASSERT_TRUE(running.get().ok());
+  // Nothing runs now, but a turn is still outstanding.
+  EXPECT_EQ(quiesced.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "Quiesce returned while a caller was waiting for its turn";
+
+  ASSERT_TRUE(lane.Call(waiting.value(), Cmd("work")).ok());
+  EXPECT_EQ(quiesced.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+}
+
+TEST(WorkerLane, StopAnswersAWaitingCallerWithRetryableUnavailable) {
+  auto blocking = std::make_shared<BlockingTransport>("work");
+  shard::WorkerLane lane(blocking);
+
+  auto running =
+      std::async(std::launch::async, [&lane] { return lane.Call(Cmd("work")); });
+  for (int i = 0; i < 500 && blocking->entered() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(blocking->entered(), 1);
+  // The turn is taken before Stop, so the caller waits for it rather
+  // than being refused at TakeTurn.
+  auto turn = lane.TakeTurn();
+  ASSERT_TRUE(turn.ok());
+  auto waiting = std::async(std::launch::async, [&lane, &turn] {
+    return lane.Call(turn.value(), Cmd("work"));
+  });
+
+  lane.Stop();
+  // EXPECT, not ASSERT: on failure the release below must still run, or
+  // the waiting caller's future would block the test forever.
+  EXPECT_EQ(waiting.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "Stop left a waiting caller hanging";
+  EXPECT_EQ(blocking->entered(), 1) << "the refused call reached the worker";
+
+  // The call already running finishes normally.
+  blocking->Release();
+  EXPECT_TRUE(running.get().ok());
+  auto refused = waiting.get();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().kind, ErrorKind::kUnavailable);
+}
+
+// ---- client input cannot take an in-process fleet down ---------------------
+
+TEST(Gateway, CrashInputsGetTypedEnvelopesAndTheFleetLivesOn) {
+  // In-process workers share the gateway's process: one crash here would
+  // take every session down with it.
+  shard::ShardRouter::Options routerOptions;
+  routerOptions.workerCount = 2;
+  shard::ShardRouter router(routerOptions);
+  ScopedGateway gw(
+      [&router](const json::Json& request) { return router.Handle(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+
+  Client client(gw.address());
+  json::Json created = client.Call(
+      Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}}));
+  ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+  const std::int64_t id = created.GetInt("sessionId", -1);
+
+  struct Case {
+    json::Json request;
+    const char* kind;
+  };
+  json::Json oversizedCache = json::Json::MakeObject();
+  json::Json cache = json::Json::MakeObject();
+  cache.Set("enabled", true);
+  cache.Set("lineCount", static_cast<std::int64_t>(1073741824));
+  cache.Set("associativity", 1);
+  cache.Set("lineSizeBytes", 4096);
+  oversizedCache.Set("cache", std::move(cache));
+  const Case cases[] = {
+      {Cmd("createSession",
+           {{"isC", json::Json(true)},
+            {"code", json::Json("int main(){ return " +
+                                std::string(5000, '(') + "1" +
+                                std::string(5000, ')') + "; }")}}),
+       "parse"},
+      {Cmd("createSession",
+           {{"code", json::Json("main:\n addi x1, x0, " +
+                                std::string(20000, '(') + "1" +
+                                std::string(20000, ')') + "\n ret\n")}}),
+       "parse"},
+      {Cmd("createSession", {{"code", json::Json("addi x1, x0, 1")},
+                             {"config", oversizedCache}}),
+       "config"},
+  };
+  for (const Case& bad : cases) {
+    const json::Json response = client.Call(bad.request);
+    testutil::CheckErrorEnvelope(response);
+    EXPECT_EQ(testutil::ErrorOf(response).GetString("kind", ""), bad.kind)
+        << response.Dump();
+  }
+
+  // The same gateway still answers, and the session made before the bad
+  // requests still steps.
+  Client after(gw.address());
+  const json::Json hello = after.Call(Cmd("hello"));
+  EXPECT_EQ(hello.GetString("status", ""), "ok") << hello.Dump();
+  const json::Json stepped =
+      after.Call(Cmd("step", {{"sessionId", json::Json(id)},
+                              {"count", json::Json(10)}}));
+  EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
 }
 
 }  // namespace

@@ -128,6 +128,30 @@ TEST(Api, DeepNestingIsATypedErrorAndTheServerLivesOn) {
   EXPECT_TRUE(hello.GetBool("hello", false));
 }
 
+TEST(Api, OversizedConfigIsATypedErrorAndTheServerLivesOn) {
+  SimServer server;
+  const char* configs[] = {
+      R"({"cache": {"enabled": true, "lineCount": 1073741824,
+                    "associativity": 1, "lineSizeBytes": 4096}})",
+      R"({"predictor": {"btbSize": 1073741824, "phtSize": 1073741824}})",
+      R"({"memory": {"sizeBytes": 4000000000}})",
+  };
+  for (const char* config : configs) {
+    json::Json request = json::Json::MakeObject();
+    request.Set("command", "createSession");
+    request.Set("code", "addi x1, x0, 1");
+    request.Set("config", Parse(config));
+    const json::Json response = Parse(server.HandleRaw(request.Dump()));
+    testutil::CheckErrorEnvelope(response);
+    EXPECT_EQ(testutil::ErrorOf(response).GetString("kind", ""), "config")
+        << config;
+  }
+  const json::Json hello =
+      Parse(server.HandleRaw(R"({"command": "hello"})"));
+  EXPECT_EQ(hello.GetString("status", ""), "ok");
+  EXPECT_TRUE(hello.GetBool("hello", false));
+}
+
 TEST(Api, ParseAsmValidatesSource) {
   SimServer server;
   json::Json good = server.Handle(

@@ -840,7 +840,6 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
 
   ShardRouter::Options options;
   options.workerCount = 1;
-  ASSERT_TRUE(options.laneFastPath) << "fast path must default on";
   ShardRouter router(options);
   std::vector<std::int64_t> ids(kSessions);
   for (int i = 0; i < kSessions; ++i) {
