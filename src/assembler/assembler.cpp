@@ -7,6 +7,7 @@
 #include "assembler/lexer.h"
 #include "common/bitops.h"
 #include "common/strings.h"
+#include "config/cpu_config.h"
 #include "isa/pseudo.h"
 
 namespace rvss::assembler {
@@ -368,8 +369,11 @@ Result<Program> Assembler::Assemble(std::string_view source,
         if (line.operands.size() != 1) {
           return Error{ErrorKind::kParse, ".balign expects one operand", pos};
         }
+        // Bounded like .align (at most 2^16): the padding is pushed byte
+        // by byte, and an unbounded operand asks for exabytes.
         auto bytes = ParseInt(line.operands[0]);
-        if (!bytes || *bytes <= 0 || !IsPowerOfTwo(static_cast<std::uint64_t>(*bytes))) {
+        if (!bytes || *bytes <= 0 || *bytes > (1 << 16) ||
+            !IsPowerOfTwo(static_cast<std::uint64_t>(*bytes))) {
           return Error{ErrorKind::kParse, "invalid .balign operand", pos};
         }
         if (section == Section::kData) {
@@ -408,6 +412,12 @@ Result<Program> Assembler::Assemble(std::string_view source,
         // Assembler metadata with no simulation meaning.
       } else {
         return Error{ErrorKind::kParse, "unknown directive '" + m + "'", pos};
+      }
+      // One line adds at most 16 MiB (.skip), so checking per line keeps
+      // the image within a line of the largest memory a config allows.
+      if (dataImage.size() > config::kMaxMemoryBytes) {
+        return Error{ErrorKind::kInvalidArgument,
+                     "program data does not fit in memory", pos};
       }
       continue;
     }

@@ -84,6 +84,11 @@ struct CacheConfig {
   std::uint32_t lineReplacementDelay = 10; ///< extra cycles on refill
 };
 
+/// The largest memory.sizeBytes Validate accepts. Nothing loaded into
+/// memory can be bigger, so loaders may refuse larger inputs before
+/// building them.
+inline constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
+
 /// Paper tab 5 ("Memory").
 struct MemoryConfig {
   std::uint32_t sizeBytes = 64 * 1024;

@@ -13,7 +13,6 @@ namespace {
 // OOM-killed. Like robSize's, each bound sits far above every preset.
 constexpr std::uint32_t kMaxStructureEntries = 4096;
 constexpr std::uint64_t kMaxCacheBytes = 1ull << 20;
-constexpr std::uint32_t kMaxMemoryBytes = 64u << 20;
 constexpr std::uint32_t kMaxPredictorEntries = 1u << 16;
 
 void Check(std::vector<Error>& errors, bool ok, std::string message) {

@@ -1,5 +1,7 @@
 #include "memory/memory_initializer.h"
 
+#include <limits>
+
 #include "common/bitops.h"
 #include "common/rng.h"
 
@@ -62,6 +64,19 @@ void WriteElement(MainMemory& memory, std::uint32_t address, DataTypeKind kind,
   }
 }
 
+/// An optional non-negative 32-bit field of array `name`. JSON integers
+/// arrive as int64; a value outside [0, 2^32) is an error, not a silent
+/// truncation.
+Result<std::uint32_t> ReadUint32(const json::Json& node, const char* key,
+                                 const std::string& name) {
+  const std::int64_t value = node.GetInt(key, 0);
+  if (value < 0 || value > std::numeric_limits<std::uint32_t>::max()) {
+    return Error{ErrorKind::kParse, std::string("'") + key + "' of array '" +
+                                        name + "' is out of range"};
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 double RandomElement(DataTypeKind kind, Rng& rng) {
   switch (kind) {
     case DataTypeKind::kByte:
@@ -85,7 +100,7 @@ Result<MemoryLayout> ComputeLayout(const std::vector<ArrayDefinition>& arrays,
                                    std::uint32_t memorySize) {
   MemoryLayout layout;
   layout.dataStart = baseAddress;
-  std::uint32_t cursor = baseAddress;
+  std::uint64_t cursor = baseAddress;
   for (const ArrayDefinition& def : arrays) {
     if (def.name.empty()) {
       return Error{ErrorKind::kInvalidArgument, "array definition needs a name"};
@@ -100,16 +115,16 @@ Result<MemoryLayout> ComputeLayout(const std::vector<ArrayDefinition>& arrays,
       return Error{ErrorKind::kInvalidArgument,
                    "alignment of '" + def.name + "' must be a power of two"};
     }
-    cursor = static_cast<std::uint32_t>(AlignUp(cursor, alignment));
-    const std::uint32_t byteSize = def.ByteSize();
+    cursor = AlignUp(cursor, alignment);
+    const std::uint64_t byteSize = def.ByteSize();
     if (cursor > memorySize || byteSize > memorySize - cursor) {
       return Error{ErrorKind::kInvalidArgument,
                    "array '" + def.name + "' does not fit in memory"};
     }
-    layout.symbols.emplace(def.name, cursor);
+    layout.symbols.emplace(def.name, static_cast<std::uint32_t>(cursor));
     cursor += byteSize;
   }
-  layout.dataEnd = cursor;
+  layout.dataEnd = static_cast<std::uint32_t>(cursor);
   return layout;
 }
 
@@ -183,7 +198,7 @@ Result<ArrayDefinition> ArrayDefinitionFromJson(const json::Json& node) {
                  "unknown data type in array '" + def.name + "'"};
   }
   def.type = *type;
-  def.alignment = static_cast<std::uint32_t>(node.GetInt("alignment", 0));
+  RVSS_ASSIGN_OR_RETURN(def.alignment, ReadUint32(node, "alignment", def.name));
 
   if (const json::Json* values = node.Find("values"); values != nullptr) {
     if (!values->IsArray()) {
@@ -199,12 +214,12 @@ Result<ArrayDefinition> ArrayDefinitionFromJson(const json::Json& node) {
     }
   } else if (node.GetBool("random", false)) {
     def.fill = ArrayDefinition::Fill::kRandom;
-    def.count = static_cast<std::uint32_t>(node.GetInt("count", 0));
+    RVSS_ASSIGN_OR_RETURN(def.count, ReadUint32(node, "count", def.name));
     def.randomSeed = static_cast<std::uint64_t>(node.GetInt("randomSeed", 1));
   } else if (node.Find("constant") != nullptr) {
     def.fill = ArrayDefinition::Fill::kConstant;
     def.values = {node.GetDouble("constant", 0.0)};
-    def.count = static_cast<std::uint32_t>(node.GetInt("count", 0));
+    RVSS_ASSIGN_OR_RETURN(def.count, ReadUint32(node, "count", def.name));
   } else {
     return Error{ErrorKind::kParse,
                  "array '" + def.name +

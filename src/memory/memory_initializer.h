@@ -42,7 +42,11 @@ struct ArrayDefinition {
     return fill == Fill::kValues ? static_cast<std::uint32_t>(values.size())
                                  : count;
   }
-  std::uint32_t ByteSize() const { return ElementCount() * SizeOf(type); }
+  /// 64-bit: a 32-bit element count times the element size can exceed
+  /// 32 bits, and a wrapped size would pass the layout's fit check.
+  std::uint64_t ByteSize() const {
+    return std::uint64_t{ElementCount()} * SizeOf(type);
+  }
 };
 
 /// Result of allocation: label -> start address, in definition order.

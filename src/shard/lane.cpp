@@ -41,16 +41,13 @@ Result<WorkerLane::Turn> WorkerLane::TakeTurn() {
   return nextTurn_++;
 }
 
-Result<json::Json> WorkerLane::Call(Turn turn, const json::Json& request) {
+Result<WorkerLane::HeldTurn> WorkerLane::Await(Turn turn) {
   // One registration per metric name for the whole process; every lane
   // shares the objects, so these aggregate across the fleet's lanes (the
   // per-worker split lives in workerStats' lane Stats).
   obs::Registry& registry = obs::Registry::Instance();
   static obs::Histogram& queueWaitUs =
       registry.GetHistogram("shard.lane.queueWaitUs");
-  static obs::Histogram& dispatchUs =
-      registry.GetHistogram("shard.lane.dispatchUs");
-  static obs::Counter& requests = registry.GetCounter("shard.lane.requests");
   static obs::Counter& directCalls =
       registry.GetCounter("shard.lane.directCalls");
 
@@ -62,35 +59,45 @@ Result<json::Json> WorkerLane::Call(Turn turn, const json::Json& request) {
     while (!stopped_ && current_ != turn) turnPassed_.Wait(mutex_);
     if (stopped_) return StoppedError();
   }
-  const std::uint64_t startNs = obs::MonotonicNowNs();
   if (waited) {
-    queueWaitUs.Record((startNs - arrivedNs) / 1000);
+    queueWaitUs.Record((obs::MonotonicNowNs() - arrivedNs) / 1000);
   } else {
     directCalls.Increment();
   }
-  Result<json::Json> response = transport_->Call(request);
+  return HeldTurn(this);
+}
+
+Result<json::Json> WorkerLane::HeldTurn::Call(const json::Json& request) {
+  obs::Registry& registry = obs::Registry::Instance();
+  static obs::Histogram& dispatchUs =
+      registry.GetHistogram("shard.lane.dispatchUs");
+  static obs::Counter& requests = registry.GetCounter("shard.lane.requests");
+
+  const std::uint64_t startNs = obs::MonotonicNowNs();
+  Result<json::Json> response = lane_->transport_->Call(request);
   const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
   dispatchUs.Record(elapsedNs / 1000);
   requests.Increment();
+  MutexLock lock(lane_->mutex_);
+  lane_->lastDispatchNs_ = elapsedNs;
+  ++lane_->dispatched_;
+  return response;
+}
+
+void WorkerLane::PassTurn() {
   {
     MutexLock lock(mutex_);
-    lastDispatchNs_ = elapsedNs;
-    ++dispatched_;
     ++current_;
   }
   turnPassed_.NotifyAll();
-  return response;
 }
 
 Result<json::Json> WorkerLane::Call(const json::Json& request) {
   Result<Turn> turn = TakeTurn();
   if (!turn.ok()) return turn.error();
-  return Call(turn.value(), request);
-}
-
-void WorkerLane::Quiesce() {
-  MutexLock lock(mutex_);
-  while (!stopped_ && current_ != nextTurn_) turnPassed_.Wait(mutex_);
+  Result<HeldTurn> held = Await(turn.value());
+  if (!held.ok()) return held.error();
+  return held.value().Call(request);
 }
 
 void WorkerLane::Stop() {

@@ -27,6 +27,17 @@ json::Json RouterError(ErrorKind kind, std::string message) {
   return server::MakeErrorResponse(Error{kind, std::move(message)});
 }
 
+/// A fleet operation's wait for its own turn on the worker it drains,
+/// timed as the `quiesce` span: once the turn comes up, every earlier
+/// caller on the worker has finished.
+Result<WorkerLane::HeldTurn> AwaitQuiesced(WorkerLane& lane,
+                                           WorkerLane::Turn turn,
+                                           std::size_t worker) {
+  obs::ScopedSpan span("fleet", "quiesce");
+  span.SetDetail(StrFormat("worker=%zu", worker));
+  return lane.Await(turn);
+}
+
 /// A request carrying nothing but its command name.
 json::Json Command(const char* name) {
   json::Json request = json::Json::MakeObject();
@@ -74,7 +85,6 @@ ShardRouter::ShardRouter(const Options& options)
     }
   }
   drained_.assign(count, false);
-  gated_.assign(count, false);
 }
 
 std::size_t ShardRouter::workerCount() const {
@@ -105,9 +115,15 @@ std::string ShardRouter::HandleRaw(std::string_view requestBytes,
       requestBytes, compress, timing);
 }
 
-Result<json::Json> ShardRouter::LaneTurn::Run(const json::Json& request) const {
+Result<WorkerLane::HeldTurn> ShardRouter::LaneTurn::Await() const {
   if (!turn.ok()) return turn.error();
-  return lane->Call(turn.value(), request);
+  return lane->Await(turn.value());
+}
+
+Result<json::Json> ShardRouter::LaneTurn::Run(const json::Json& request) const {
+  Result<WorkerLane::HeldTurn> held = Await();
+  if (!held.ok()) return held.error();
+  return held.value().Call(request);
 }
 
 ShardRouter::LaneTurn ShardRouter::TakeTurn(std::size_t worker) {
@@ -152,25 +168,21 @@ json::Json ShardRouter::CallViaLane(std::size_t worker,
   return ToResponse(turn.Run(request));
 }
 
-std::shared_ptr<WorkerLane> ShardRouter::CloseGate(std::size_t index) {
+ShardRouter::LaneTurn ShardRouter::TakeOwnerTurn(std::int64_t worker,
+                                                 bool drain) {
   MutexLock lock(fleetMutex_);
-  gated_[index] = true;
-  // An admission already holding a turn on this worker's lane finishes
-  // its round trip and records its placement from the admitting thread;
-  // wait it out so the drain below starts from a placement map that
-  // includes every session the (about to be quiesced) lane produced.
-  while (admissionIntents_.find(index) != admissionIntents_.end()) {
-    intentsClear_.Wait(fleetMutex_);
+  if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
+      !IsLive(static_cast<std::size_t>(worker))) {
+    return LaneTurn{nullptr, Error{ErrorKind::kInvalidArgument,
+                                   "unknown worker " + std::to_string(worker)}};
   }
-  return lanes_[index];
-}
-
-void ShardRouter::OpenGate(std::size_t index) {
-  {
-    MutexLock lock(fleetMutex_);
-    gated_[index] = false;
-  }
-  gateOpen_.NotifyAll();
+  const auto index = static_cast<std::size_t>(worker);
+  LaneTurn turn = TakeTurn(index);
+  // Marked in the same section as the turn: every admission placed on
+  // the worker took its turn before ours, so the placement map is
+  // complete when our turn comes up. A refused turn changes nothing.
+  if (drain && turn.turn.ok()) drained_[index] = true;
+  return turn;
 }
 
 json::Json ShardRouter::Dispatch(const json::Json& request) {
@@ -224,23 +236,26 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
   // Stateless commands (compile, parseAsm, checkConfig) and unknown
   // commands need no placement; any live worker gives the right answer —
   // and they are side-effect-free, so a worker whose process is dead is
-  // simply skipped for the next one instead of failing the request. A
-  // gated worker (a fleet operation owns it) is skipped the same way
-  // rather than waited for. The request takes a turn on each candidate's
-  // lane (the fleet mutex is held only to pick the lane), so a stateless
-  // command never races the worker's session traffic.
+  // simply skipped for the next one instead of failing the request.
+  // Workers that are not drained are tried first: a drained worker may be
+  // held by a drain or a removeWorker, and its turn would wait for it.
+  std::vector<std::size_t> order;
+  {
+    MutexLock lock(fleetMutex_);
+    for (const bool drained : {false, true}) {
+      for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        if (IsLive(i) && drained_[i] == drained) order.push_back(i);
+      }
+    }
+  }
   json::Json lastError = RouterError(ErrorKind::kUnavailable,
                                      "every worker has been removed");
-  for (std::size_t i = 0;; ++i) {
+  for (const std::size_t worker : order) {
     LaneTurn turn;
     {
       MutexLock lock(fleetMutex_);
-      if (i >= lanes_.size()) break;
-      if (!IsLive(i) || gated_[i]) continue;
-      // The turn is taken *under* the mutex — the quiesce barrier's
-      // contract is that no turn can race a fleet operation's closed
-      // gate; only the wait happens unlocked.
-      turn = TakeTurn(i);
+      if (!IsLive(worker)) continue;
+      turn = TakeTurn(worker);
     }
     auto response = turn.Run(request);
     if (response.ok()) return std::move(response).value();
@@ -269,48 +284,31 @@ Result<std::size_t> ShardRouter::PlaceNew(std::int64_t globalId) {
 json::Json ShardRouter::AdmitSession(const json::Json& request) {
   // createSession and importSession admit identically: allocate a global
   // id, place it on the ring, forward, and record where it landed. The
-  // worker round trip runs *unlocked* — what keeps drains honest is the
-  // placement intent recorded under the mutex with the lane turn: a drain
-  // of the target worker closes the gate and waits for the worker's
-  // intents to clear, so by the time it reads the placement map, this
-  // admission has either finalized its entry or failed. Admissions
-  // therefore overlap with traffic, with each other, and with drains of
-  // *other* workers — a createSession burst no longer serializes behind
-  // an in-progress drain it is not placed on.
+  // worker round trip runs *unlocked*; the placement is recorded before
+  // the turn is passed on, so a drain of the target worker — whose turn
+  // comes after ours — reads a placement map that already holds it.
+  // Admissions therefore overlap with traffic, with each other, and with
+  // drains: a drained worker is never picked, so a createSession burst
+  // does not serialize behind an in-progress drain.
   std::int64_t globalId = 0;
   std::size_t worker = 0;
   LaneTurn turn;
   {
     MutexLock lock(fleetMutex_);
     globalId = nextGlobalId_++;
-    while (true) {
-      auto placed = PlaceNew(globalId);
-      if (!placed.ok()) return server::MakeErrorResponse(placed.error());
-      worker = placed.value();
-      if (!gated_[worker]) break;
-      // The ring picked a worker a fleet operation currently owns; wait
-      // for the gate and re-place (eligibility may have changed).
-      gateOpen_.Wait(fleetMutex_);
-    }
-    ++admissionIntents_[worker];
+    auto placed = PlaceNew(globalId);
+    if (!placed.ok()) return server::MakeErrorResponse(placed.error());
+    worker = placed.value();
     turn = TakeTurn(worker);
   }
-
-  json::Json response = ToResponse(turn.Run(request));
-  const bool admitted = IsOk(response);
+  Result<WorkerLane::HeldTurn> held = turn.Await();
+  if (!held.ok()) return server::MakeErrorResponse(held.error());
+  json::Json response = ToResponse(held.value().Call(request));
+  if (!IsOk(response)) return response;
   {
     MutexLock lock(fleetMutex_);
-    auto intent = admissionIntents_.find(worker);
-    if (intent != admissionIntents_.end() && --intent->second == 0) {
-      admissionIntents_.erase(intent);
-    }
-    if (admitted) {
-      placements_[globalId] =
-          Placement{worker, response.GetInt("sessionId", -1)};
-    }
+    placements_[globalId] = Placement{worker, response.GetInt("sessionId", -1)};
   }
-  intentsClear_.NotifyAll();
-  if (!admitted) return response;
   static obs::Counter& admissions =
       obs::Registry::Instance().GetCounter("shard.router.admissions");
   admissions.Increment();
@@ -322,61 +320,60 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
 json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
   const std::int64_t globalId = request.GetInt("sessionId", -1);
   const bool isDelete = request.GetString("command", "") == "deleteSession";
-  std::size_t worker = 0;
-  LaneTurn turn;
-  json::Json forwarded;
-  {
-    MutexLock lock(fleetMutex_);
-    while (true) {
+  while (true) {
+    // Session commands (step, run, stepBack, exportSession, ...) take a
+    // turn on their worker's lane, release the mutex and wait for it:
+    // this is where the fleet's parallelism comes from. Per-session
+    // ordering holds because a session's requests all take turns on the
+    // same FIFO lane, in the order their dispatching threads held the
+    // mutex.
+    Placement placement;
+    LaneTurn turn;
+    {
+      MutexLock lock(fleetMutex_);
       auto it = placements_.find(globalId);
       if (it == placements_.end()) {
         return RouterError(ErrorKind::kInvalidArgument,
                            "unknown sessionId " + std::to_string(globalId));
       }
-      const Placement placement = it->second;
+      placement = it->second;
       if (!IsLive(placement.worker)) {
         return RouterError(ErrorKind::kUnavailable,
                            "worker " + std::to_string(placement.worker) +
                                " was removed");
       }
-      if (!gated_[placement.worker]) {
-        // Session commands (step, run, stepBack, exportSession, ...)
-        // take a turn on the lane, release the mutex and wait for it:
-        // this is where the fleet's parallelism comes from. Per-session
-        // ordering holds because a session's requests all take turns on
-        // the same FIFO lane, in the order their dispatching threads held
-        // the mutex.
-        worker = placement.worker;
-        forwarded = request;
-        forwarded.Set("sessionId", placement.localId);
-        turn = TakeTurn(worker);
-        break;
+      turn = TakeTurn(placement.worker);
+    }
+    if (!turn.turn.ok()) return server::MakeErrorResponse(turn.turn.error());
+    // A lane stopped while we waited belongs to a removed worker: the
+    // session moved off it (or was lost); re-resolve.
+    Result<WorkerLane::HeldTurn> held = turn.Await();
+    if (!held.ok()) continue;
+    {
+      // A fleet operation that held the worker ahead of us (drain,
+      // rebalance, removal) may have moved the session; if so, pass the
+      // turn on and re-resolve.
+      MutexLock lock(fleetMutex_);
+      auto it = placements_.find(globalId);
+      if (it == placements_.end() ||
+          it->second.worker != placement.worker ||
+          it->second.localId != placement.localId) {
+        continue;
       }
-      // A fleet operation owns this session's worker (drain, rebalance,
-      // removal in progress): wait for the gate and re-resolve — the
-      // session may have moved to a different worker meanwhile. Only
-      // traffic aimed at the gated worker blocks here.
-      gateOpen_.Wait(fleetMutex_);
     }
-  }
-  auto result = turn.Run(forwarded);
-  if (!result.ok()) {
-    return server::MakeErrorResponse(result.error());
-  }
-  json::Json response = std::move(result).value();
-  if (isDelete && IsOk(response)) {
-    // Deletes finalize like admissions: the map mutation happens after
-    // the unlocked round trip. A fleet operation that snapshots the map
-    // between our worker-side delete and this erase sees a placement for
-    // a session that no longer exists — its export fails and MoveSession
-    // re-checks the map, reporting the session skipped, not lost.
-    MutexLock lock(fleetMutex_);
-    auto it = placements_.find(globalId);
-    if (it != placements_.end() && it->second.worker == worker) {
-      placements_.erase(it);
+    json::Json forwarded = request;
+    forwarded.Set("sessionId", placement.localId);
+    auto result = held.value().Call(forwarded);
+    if (!result.ok()) return server::MakeErrorResponse(result.error());
+    json::Json response = std::move(result).value();
+    if (isDelete && IsOk(response)) {
+      // Erased before the turn is passed on, so whoever holds the worker
+      // next reads a placement map without the deleted session.
+      MutexLock lock(fleetMutex_);
+      placements_.erase(globalId);
     }
+    return response;
   }
-  return response;
 }
 
 /// localId -> session node, for O(log n) joins against the placement map.
@@ -691,22 +688,11 @@ json::Json ShardRouter::TraceDump() {
   return response;
 }
 
-Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
-                                std::uint64_t* movedBytes, bool* skipped) {
-  Placement source;
-  {
-    MutexLock lock(fleetMutex_);
-    auto it = placements_.find(globalId);
-    if (it == placements_.end()) {
-      // Deleted by a client whose request was already queued when the
-      // gate closed: executed during the quiesce, finalized since.
-      // Nothing to move, nothing lost.
-      if (skipped != nullptr) *skipped = true;
-      return Status::Ok();
-    }
-    source = it->second;
-  }
-
+Status ShardRouter::MoveSession(std::int64_t globalId,
+                                const Placement& source,
+                                WorkerLane::HeldTurn& sourceTurn,
+                                std::size_t destination,
+                                std::uint64_t* movedBytes) {
   // Ship a delta blob only when the destination's hello advertised v3
   // decode support; a peer whose capability is unknown (disconnected
   // socket, old build) gets a full image — always decodable, never
@@ -719,29 +705,16 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
                   lanes_[destination]->transport()->SupportsDeltaBlobs();
   }
 
-  // Source-side calls ride the source's lane like every other call: the
-  // caller closed the source worker's gate and quiesced its lane, so no
-  // one else takes a turn there (every turn-taking path checks the gate)
-  // and our turns come up at once.
+  // Source-side calls run on the caller's held turn: no one else's call
+  // can reach the source worker until the caller passes it on.
   auto exportFrom = [&](bool delta) {
     json::Json exportRequest = json::Json::MakeObject();
     exportRequest.Set("command", "exportSession");
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
-    return CallViaLane(source.worker, exportRequest);
+    return ToResponse(sourceTurn.Call(exportRequest));
   };
   auto exportFailed = [&](const json::Json& exported) {
-    {
-      // A delete that executed during the quiesce may finalize (erase
-      // its placement) at any point after our snapshot above; if the
-      // placement is gone now, the failed export was that delete, not a
-      // lost session.
-      MutexLock lock(fleetMutex_);
-      if (placements_.find(globalId) == placements_.end()) {
-        if (skipped != nullptr) *skipped = true;
-        return Status::Ok();
-      }
-    }
     // The session vanished from its worker (deleted behind the router's
     // back, export failed, or the worker process is dead). Nothing
     // moved; surface the worker's error.
@@ -803,7 +776,7 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   json::Json deleteRequest = json::Json::MakeObject();
   deleteRequest.Set("command", "deleteSession");
   deleteRequest.Set("sessionId", source.localId);
-  json::Json deleted = CallViaLane(source.worker, deleteRequest);
+  json::Json deleted = ToResponse(sourceTurn.Call(deleteRequest));
   if (!IsOk(deleted)) {
     // Failing to delete would leave two live copies; roll the import back
     // so the mapping stays unambiguous.
@@ -835,21 +808,18 @@ Status ShardRouter::MoveSession(std::int64_t globalId, std::size_t destination,
   return Status::Ok();
 }
 
-std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
-                                                     json::Json& response,
-                                                     bool* sourceReachable) {
-  struct Victim {
-    std::int64_t globalId = 0;
-    std::int64_t localId = 0;
-  };
-  std::vector<Victim> toMove;
+std::vector<std::int64_t> ShardRouter::DrainSessions(
+    std::size_t index, WorkerLane::HeldTurn& source, json::Json& response,
+    bool* sourceReachable) {
+  // The caller holds the source's turn, so the placement map lists
+  // exactly the sessions on the worker, and nothing adds or removes one
+  // until the caller passes the turn on.
+  std::map<std::int64_t, Placement> toMove;
   std::vector<bool> eligible;
   {
     MutexLock lock(fleetMutex_);
     for (const auto& [globalId, placement] : placements_) {
-      if (placement.worker == index) {
-        toMove.push_back(Victim{globalId, placement.localId});
-      }
+      if (placement.worker == index) toMove.emplace(globalId, placement);
     }
     eligible = Eligible();
   }
@@ -857,17 +827,18 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   // Per-session byte estimates for the drained worker, and one fleet-wide
   // load snapshot, both taken once: the loop below keeps the destination
   // loads current incrementally instead of re-walking every worker's
-  // session table per move. The source (quiesced behind the closed gate)
-  // is listed on its own; the probe below skips it.
+  // session table per move. The source is listed on the held turn; the
+  // probe below skips it.
   std::map<std::int64_t, std::uint64_t> sessionBytes;
   {
-    const json::Json listed = CallViaLane(index, Command("listSessions"));
+    const json::Json listed =
+        ToResponse(source.Call(Command("listSessions")));
     if (sourceReachable != nullptr) *sourceReachable = IsOk(listed);
     const auto localIndex = IndexSessions(listed);
-    for (const Victim& victim : toMove) {
-      auto found = localIndex.find(victim.localId);
+    for (const auto& [globalId, placement] : toMove) {
+      auto found = localIndex.find(placement.localId);
       if (found != localIndex.end()) {
-        sessionBytes[victim.globalId] = static_cast<std::uint64_t>(
+        sessionBytes[globalId] = static_cast<std::uint64_t>(
             found->second->GetInt("approxBytes", 0));
       }
     }
@@ -884,23 +855,22 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
   std::uint64_t movedBytes = 0;
   std::vector<std::int64_t> failedIds;
   json::Json failed = json::Json::MakeArray();
-  for (const Victim& victim : toMove) {
+  for (const auto& [globalId, placement] : toMove) {
     auto destination = LeastLoaded(fleet.bytes, eligible);
-    bool skipped = false;
     Status status =
         destination.has_value()
-            ? MoveSession(victim.globalId, *destination, &movedBytes, &skipped)
+            ? MoveSession(globalId, placement, source, *destination,
+                          &movedBytes)
             : Status::Fail(ErrorKind::kUnavailable,
                            "no eligible destination worker for session " +
-                               std::to_string(victim.globalId));
-    if (skipped) continue;  // concurrently deleted: neither moved nor failed
+                               std::to_string(globalId));
     if (status.ok()) {
       ++moved;
-      fleet.bytes[*destination] += sessionBytes[victim.globalId];
+      fleet.bytes[*destination] += sessionBytes[globalId];
     } else {
-      failedIds.push_back(victim.globalId);
+      failedIds.push_back(globalId);
       json::Json failure = json::Json::MakeObject();
-      failure.Set("sessionId", victim.globalId);
+      failure.Set("sessionId", globalId);
       failure.Set("message", status.error().message);
       failed.Append(std::move(failure));
     }
@@ -915,36 +885,25 @@ std::vector<std::int64_t> ShardRouter::DrainSessions(std::size_t index,
 json::Json ShardRouter::DrainWorker(const json::Json& request) {
   MutexLock opLock(fleetOpMutex_);
   const std::int64_t worker = request.GetInt("worker", -1);
-  std::size_t index = 0;
-  {
-    MutexLock lock(fleetMutex_);
-    if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
-        !IsLive(static_cast<std::size_t>(worker))) {
-      return RouterError(ErrorKind::kInvalidArgument,
-                         "unknown worker " + std::to_string(worker));
-    }
-    index = static_cast<std::size_t>(worker);
-    // Close the worker to new placements before touching its sessions, so
-    // the drain cannot race its own imports back onto the source.
-    // Draining an already-drained (empty) worker is a no-op success.
-    drained_[index] = true;
-  }
+  // Closed to new placements before touching its sessions, so the drain
+  // cannot race its own imports back onto the source. Draining an
+  // already-drained (empty) worker is a no-op success.
+  const LaneTurn owner = TakeOwnerTurn(worker, /*drain=*/true);
+  if (!owner.turn.ok()) return server::MakeErrorResponse(owner.turn.error());
+  const auto index = static_cast<std::size_t>(worker);
   obs::ScopedSpan span("fleet", "drainWorker");
-  std::shared_ptr<WorkerLane> lane = CloseGate(index);
-  {
-    // The quiesce barrier: wait out every turn already taken on the
-    // worker's lane (an in-flight `run` completes; its client gets a normal
-    // response). New requests for the worker's sessions block on the
-    // gate and execute after the drain, against the sessions' new homes
-    // — traffic for every other worker flows the whole time.
-    obs::ScopedSpan quiesceSpan("fleet", "quiesce");
-    quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
-    lane->Quiesce();
-  }
+  // Every turn taken on the worker before ours runs first (an in-flight
+  // `run` completes; its client gets a normal response). Requests for
+  // the worker's sessions that arrive meanwhile wait behind our turn and
+  // then re-resolve to the sessions' new homes — traffic for every other
+  // worker flows the whole time.
+  Result<WorkerLane::HeldTurn> held =
+      AwaitQuiesced(*owner.lane, owner.turn.value(), index);
+  if (!held.ok()) return server::MakeErrorResponse(held.error());
 
   json::Json response = json::Json::MakeObject();
-  const std::vector<std::int64_t> failedIds = DrainSessions(index, response);
-  OpenGate(index);
+  const std::vector<std::int64_t> failedIds =
+      DrainSessions(index, held.value(), response);
   span.SetDetail(StrFormat("worker=%zu moved=%lld failed=%zu", index,
                            static_cast<long long>(response.GetInt("moved", 0)),
                            failedIds.size()));
@@ -1021,7 +980,6 @@ json::Json ShardRouter::AddWorker(const json::Json& request) {
     MutexLock lock(fleetMutex_);
     lanes_.push_back(std::move(lane));
     drained_.push_back(false);
-    gated_.push_back(false);
     ring_.AddWorker();
   }
   span.SetDetail(StrFormat("worker=%zu transport=%s", index,
@@ -1037,31 +995,21 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   MutexLock opLock(fleetOpMutex_);
   const std::int64_t worker = request.GetInt("worker", -1);
   const bool force = request.GetBool("force", false);
-  std::size_t index = 0;
-  {
-    MutexLock lock(fleetMutex_);
-    if (worker < 0 || worker >= static_cast<std::int64_t>(lanes_.size()) ||
-        !IsLive(static_cast<std::size_t>(worker))) {
-      return RouterError(ErrorKind::kInvalidArgument,
-                         "unknown worker " + std::to_string(worker));
-    }
-    index = static_cast<std::size_t>(worker);
-    drained_[index] = true;
-  }
-  obs::ScopedSpan span("fleet", "removeWorker");
-  // The shared_ptr keeps the lane (and its transport) alive for the
+  // The turn's lane copy keeps the lane (and its transport) alive for the
   // unlocked shutdown round trip below even after the slot is nulled out.
-  std::shared_ptr<WorkerLane> lane = CloseGate(index);
-  {
-    obs::ScopedSpan quiesceSpan("fleet", "quiesce");
-    quiesceSpan.SetDetail(StrFormat("worker=%zu", index));
-    lane->Quiesce();
-  }
+  const LaneTurn owner = TakeOwnerTurn(worker, /*drain=*/true);
+  if (!owner.turn.ok()) return server::MakeErrorResponse(owner.turn.error());
+  const auto index = static_cast<std::size_t>(worker);
+  WorkerLane& lane = *owner.lane;
+  obs::ScopedSpan span("fleet", "removeWorker");
+  Result<WorkerLane::HeldTurn> held =
+      AwaitQuiesced(lane, owner.turn.value(), index);
+  if (!held.ok()) return server::MakeErrorResponse(held.error());
 
   json::Json response = json::Json::MakeObject();
   bool sourceReachable = true;
   const std::vector<std::int64_t> failedIds =
-      DrainSessions(index, response, &sourceReachable);
+      DrainSessions(index, held.value(), response, &sourceReachable);
   span.SetDetail(StrFormat("worker=%zu moved=%lld lost=%zu", index,
                            static_cast<long long>(response.GetInt("moved", 0)),
                            failedIds.size()));
@@ -1070,7 +1018,6 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
   if (!failedIds.empty() && !force) {
     // Fail closed: the worker stays (drained), every stranded session is
     // still addressed, and the caller can retry or force.
-    OpenGate(index);
     json::Json error = server::MakeErrorResponse(Error{
         ErrorKind::kInternal,
         "removeWorker " + std::to_string(worker) + " would strand " +
@@ -1090,13 +1037,11 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
 
   // Graceful stop for process workers; in-process workers just go away
   // with their transport. A worker the drain already proved dead gets no
-  // shutdown round trip — it could only burn the connect timeout. The
-  // lane is quiesced behind the closed gate, so the shutdown's turn
-  // comes up at once.
-  const bool processWorker = lane->transport()->LocalServer() == nullptr;
-  const std::string address = lane->transport()->Describe();
+  // shutdown round trip — it could only burn the connect timeout.
+  const bool processWorker = lane.transport()->LocalServer() == nullptr;
+  const std::string address = lane.transport()->Describe();
   if (processWorker && sourceReachable) {
-    (void)lane->Call(Command("shutdownWorker"));
+    (void)held.value().Call(Command("shutdownWorker"));
   }
   {
     MutexLock lock(fleetMutex_);
@@ -1108,12 +1053,11 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       lost.Append(json::Json(globalId));
     }
     ring_.RemoveWorker(index);
-    // The lane was quiesced above and no turn can have raced past the
-    // closed gate, so Stop() finds no caller waiting; it answers any
-    // that still holds a copy of the lane and tries to take a turn.
-    lane->Stop();
+    // Callers waiting behind our turn are answered, and re-resolve once
+    // they get the fleet mutex — with the slot already gone: moved
+    // sessions route to their new homes, lost ones are unknown.
+    lane.Stop();
     lanes_[index] = nullptr;
-    gated_[index] = false;
     if (processWorker && options_.onWorkerShutdown) {
       // Let the process owner reap the worker now — whether it exited
       // gracefully just above or was already dead — instead of leaving a
@@ -1121,10 +1065,6 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       options_.onWorkerShutdown(address);
     }
   }
-  // Waiters blocked on this worker's gate re-resolve: moved sessions
-  // route to their new homes, stragglers get "worker was removed".
-  gateOpen_.NotifyAll();
-
   response.Set("status", "ok");
   response.Set("removed", true);
   response.Set("lost", std::move(lost));
@@ -1194,16 +1134,26 @@ json::Json ShardRouter::Rebalance() {
     if (!least.has_value()) break;  // single eligible worker: nothing to do
 
     // The source of this move must be quiet before its sessions are
-    // exported — the same gate-and-quiesce barrier drain takes, per
-    // iteration because `most` changes as loads even out. Only traffic
-    // for `most` waits; idle lanes make the quiesce itself free.
-    CloseGate(most)->Quiesce();
+    // exported: hold its turn, as drain does, per iteration because
+    // `most` changes as loads even out. Only traffic for `most` waits.
+    const LaneTurn owner =
+        TakeOwnerTurn(static_cast<std::int64_t>(most), /*drain=*/false);
+    Result<WorkerLane::HeldTurn> held = owner.Await();
+    if (!held.ok()) {
+      json::Json failure = json::Json::MakeObject();
+      failure.Set("worker", static_cast<std::int64_t>(most));
+      failure.Set("message", held.error().message);
+      failed.Append(std::move(failure));
+      break;
+    }
 
     // Smallest session on the most loaded worker (ties -> lowest global
     // id): smallest first avoids overshooting the mean.
-    const json::Json sessions = CallViaLane(most, Command("listSessions"));
+    const json::Json sessions =
+        ToResponse(held.value().Call(Command("listSessions")));
     const auto localIndex = IndexSessions(sessions);
     std::int64_t candidate = -1;
+    Placement candidatePlacement;
     std::int64_t candidateBytes = std::numeric_limits<std::int64_t>::max();
     {
       MutexLock lock(fleetMutex_);
@@ -1214,14 +1164,12 @@ json::Json ShardRouter::Rebalance() {
         const std::int64_t bytes = found->second->GetInt("approxBytes", 0);
         if (bytes < candidateBytes) {
           candidate = globalId;
+          candidatePlacement = placement;
           candidateBytes = bytes;
         }
       }
     }
-    if (candidate < 0) {
-      OpenGate(most);
-      break;
-    }
+    if (candidate < 0) break;
 
     // Converge, don't churn: the move must strictly lower the peak. When
     // the skew is carried by one session bigger than the gap between the
@@ -1229,14 +1177,11 @@ json::Json ShardRouter::Rebalance() {
     // stop and report the honest skewAfter instead of shuffling blobs.
     if (loads[*least] + static_cast<std::uint64_t>(candidateBytes) >=
         mostLoad) {
-      OpenGate(most);
       break;
     }
 
-    bool skipped = false;
-    Status status = MoveSession(candidate, *least, &movedBytes, &skipped);
-    OpenGate(most);
-    if (skipped) continue;  // deleted mid-rebalance: pick again
+    Status status = MoveSession(candidate, candidatePlacement, held.value(),
+                                *least, &movedBytes);
     if (!status.ok()) {
       json::Json failure = json::Json::MakeObject();
       failure.Set("sessionId", candidate);

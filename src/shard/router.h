@@ -49,34 +49,31 @@
 //     mutex released. Calls run concurrently *across* lanes, strictly in
 //     turn order *within* one. Per-session ordering follows from
 //     session→worker affinity; N workers simulate in parallel.
-//   * Router state (placements_, ring_, lanes_, drained_, gated_) is
-//     protected by one fleet mutex, held only for routing decisions and
-//     bookkeeping — never while a worker round trip is in flight.
-//   * createSession / importSession record a placement *intent* (a
-//     per-worker in-flight admission count) under the fleet mutex, run
-//     the worker round trip unlocked, then finalize the placement and
-//     clear the intent. Admissions therefore overlap with traffic and
-//     with each other; a drain of the target worker waits for its
-//     intents to clear first, so the placement map it reads never lags
-//     an admission already in that worker's lane. deleteSession likewise
-//     releases the mutex for the round trip and erases the placement
-//     afterwards.
+//   * Router state (placements_, ring_, lanes_, drained_) is protected
+//     by one fleet mutex, held only for routing decisions and bookkeeping
+//     — never while a worker round trip is in flight.
+//   * Holding a worker's lane turn is the only way to own the worker.
+//     Every router caller updates the placement map for what its call
+//     did (createSession / importSession record the placement,
+//     deleteSession erases it) *before* it passes its turn on, so when a
+//     turn comes up the map matches the worker exactly.
 //   * Fleet operations (drain/rebalance/add/remove/stats/list/metrics)
 //     serialize on a separate fleet-op mutex — never held by any routing
 //     path, so a slow drain stalls only other fleet operations. An
-//     operation that moves a worker's sessions closes that worker's
-//     *placement gate* (gated_) under the fleet mutex, waits for the
-//     worker's admission intents to clear, then *quiesces* its lane:
-//     the barrier waits until every turn taken on it has run, and
-//     because every turn-taking path checks the gate under the fleet
-//     mutex, only the fleet operation's own calls ride the lane until
-//     the gate reopens. Commands for the gated worker's
-//     sessions block on the gate and re-resolve their placement when it
-//     opens (their sessions may have moved); everything aimed at other
-//     workers flows freely. An export therefore still always observes a
-//     session between requests, never inside one — the PR 4 safety
-//     argument, re-established with the stall confined to the worker
-//     being reorganized.
+//     operation that moves a worker's sessions takes a turn on that
+//     worker's lane — drainWorker and removeWorker in the same fleet
+//     mutex section that marks the worker drained, so no admission is
+//     placed there behind it — and keeps the turn across every
+//     source-side call (list, export, delete, shutdown). When its turn
+//     comes up, every earlier caller has finished, an in-flight `run`
+//     included. Commands for the worker's sessions that arrive meanwhile
+//     wait in the lane behind it; when their turn comes up they check,
+//     under the fleet mutex, that the session still lives where they
+//     resolved it, and re-resolve if it moved. An export therefore
+//     always observes a session between requests, never inside one,
+//     with the stall confined to the worker being reorganized.
+//     Stateless commands try workers that are not drained first, so they
+//     never wait behind a drain or a removal.
 //   * Fleet snapshots (listSessions, the load probes, workerStats,
 //     metrics, traceDump) take a turn on every lane they query under the
 //     fleet mutex, then run the calls concurrently, one thread per call
@@ -88,7 +85,7 @@
 //     mutex is never held while acquiring the fleet-op mutex, waiting
 //     for a lane turn, or calling a transport.
 //
-// drainWorker exports every session on the (quiesced) worker and imports
+// drainWorker exports every session on the (owned) worker and imports
 // each onto the least-loaded *reachable* non-drained peer, then deletes
 // the source copy — the delete happens only after the destination import
 // succeeded, so a failure at any point leaves the session live on its
@@ -96,8 +93,8 @@
 // source intact, and a dead source worker makes every one of its
 // sessions a reported failure (lost-with-error), never a silent drop.
 //
-// removeWorker completes elastic scale-in: mark drained, quiesce, run
-// the drain loop, and only if every session moved off (or `force`
+// removeWorker completes elastic scale-in: mark drained, own the worker,
+// run the drain loop, and only if every session moved off (or `force`
 // accepts the loss, each lost session listed in `lost[]`) remove the
 // worker's arc from the ring, shut the transport down and stop the lane
 // (pending requests are answered with errors, never dropped). The
@@ -215,14 +212,17 @@ class ShardRouter {
     std::vector<bool> reachable;      ///< false for removed/unreachable
   };
 
-  /// A turn taken on one worker's lane under the fleet mutex, to be run
-  /// with the mutex released. The lane copy keeps the lane alive past a
-  /// concurrent removeWorker; a refused turn (shed, stopped lane)
-  /// carries its error. A default LaneTurn (no lane) took no turn.
+  /// A turn taken on one worker's lane under the fleet mutex, to be
+  /// awaited with the mutex released. The lane copy keeps the lane alive
+  /// past a concurrent removeWorker; a refused turn (shed, stopped lane,
+  /// unknown worker) carries its error. A default LaneTurn (no lane) took
+  /// no turn.
   struct LaneTurn {
     std::shared_ptr<WorkerLane> lane;
     Result<WorkerLane::Turn> turn = Error{ErrorKind::kInternal, "no turn"};
-    /// Waits for the turn and runs the call on this thread.
+    /// Waits for the turn; the held turn must not outlive this LaneTurn.
+    Result<WorkerLane::HeldTurn> Await() const;
+    /// Waits for the turn, runs the call on this thread, passes it on.
     Result<json::Json> Run(const json::Json& request) const;
   };
 
@@ -232,8 +232,8 @@ class ShardRouter {
   // own (brief) fleet mutex sections and must be called *without*
   // fleetMutex_ held.
 
-  /// Takes a turn on live worker `worker`'s lane. Every caller must Run
-  /// the turn it took; a turn never run stalls the lane.
+  /// Takes a turn on live worker `worker`'s lane. Every caller must await
+  /// the turn it took; a turn never awaited stalls the lane.
   LaneTurn TakeTurn(std::size_t worker) REQUIRES(fleetMutex_);
   /// Takes a turn on every live lane except `skip`; slot-aligned.
   std::vector<LaneTurn> TakeFleetTurns(
@@ -243,21 +243,16 @@ class ShardRouter {
   static std::vector<Result<json::Json>> FanOut(
       const std::vector<LaneTurn>& turns, const json::Json& request);
   /// One request through worker's lane: take a turn under a brief fleet
-  /// mutex section, run it unlocked. Ignores the placement gate — fleet
-  /// operations use it on the worker they gated. Transport failures
-  /// become error JSON.
+  /// mutex section, run it unlocked. Transport failures become error
+  /// JSON.
   json::Json CallViaLane(std::size_t worker, const json::Json& request)
       EXCLUDES(fleetMutex_);
-
-  /// Closes worker `index`'s placement gate and waits for its in-flight
-  /// admission intents to clear; gates are only ever closed by fleet
-  /// operations, hence REQUIRES(fleetOpMutex_). Returns the worker's lane
-  /// — fetched under the fleet mutex — so the caller can quiesce it
-  /// without re-locking. After CloseGate the caller quiesces the lane and
-  /// owns the worker until OpenGate.
-  std::shared_ptr<WorkerLane> CloseGate(std::size_t index)
-      REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
-  void OpenGate(std::size_t index)
+  /// A fleet operation's claim on worker `worker`: a turn on its lane,
+  /// taken in one fleet mutex section with — when `drain` is set —
+  /// marking the worker drained. A refused turn (unknown worker, shed)
+  /// carries its error and leaves the drained flag as it was. Awaiting
+  /// the turn owns the worker until the held turn is destroyed.
+  LaneTurn TakeOwnerTurn(std::int64_t worker, bool drain)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
 
   json::Json RouteSessionCommand(const json::Json& request)
@@ -288,27 +283,25 @@ class ShardRouter {
   json::Json Rebalance() EXCLUDES(fleetOpMutex_, fleetMutex_);
 
   /// The drain loop shared by drainWorker and removeWorker: moves every
-  /// session off `index` — whose gate the caller has closed and whose
-  /// lane it has quiesced — filling the response fields. Returns the ids
-  /// of sessions that could not be moved. `sourceReachable` (optional)
-  /// reports whether the drained worker itself answered — false means a
-  /// dead process, so callers skip graceful-shutdown round trips that
-  /// could only time out.
+  /// session off `index`, whose turn (`source`) the caller holds, filling
+  /// the response fields. Returns the ids of sessions that could not be
+  /// moved. `sourceReachable` (optional) reports whether the drained
+  /// worker itself answered — false means a dead process, so callers skip
+  /// graceful-shutdown round trips that could only time out.
   std::vector<std::int64_t> DrainSessions(std::size_t index,
+                                          WorkerLane::HeldTurn& source,
                                           json::Json& response,
                                           bool* sourceReachable = nullptr)
       EXCLUDES(fleetMutex_);
 
-  /// Moves one session to `destination` (export -> import -> delete
-  /// source). The source worker's gate must be closed and its lane
-  /// quiesced by the caller; the import rides the destination's lane. On
-  /// failure the session remains on its source worker. A session whose
-  /// placement vanished before the export (deleted by a client whose
-  /// request was already queued when the gate closed) sets `*skipped`
-  /// and reports success without moving anything.
-  Status MoveSession(std::int64_t globalId, std::size_t destination,
-                     std::uint64_t* movedBytes, bool* skipped = nullptr)
-      EXCLUDES(fleetMutex_);
+  /// Moves one session from `source` to `destination` (export -> import
+  /// -> delete source). The export and delete run on `sourceTurn`, the
+  /// source worker's turn the caller holds; the import rides the
+  /// destination's lane. On failure the session remains on its source
+  /// worker.
+  Status MoveSession(std::int64_t globalId, const Placement& source,
+                     WorkerLane::HeldTurn& sourceTurn, std::size_t destination,
+                     std::uint64_t* movedBytes) EXCLUDES(fleetMutex_);
 
   /// localId -> session node of a worker's listSessions response; the
   /// pointers borrow from the response, which must outlive the index.
@@ -321,7 +314,7 @@ class ShardRouter {
   static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
   /// Probes every live worker's load concurrently. `skip` (if valid) is
   /// reported unreachable without being probed — drain uses it for the
-  /// quiesced source worker, which it lists itself. Locks itself.
+  /// source worker it holds and lists itself. Locks itself.
   FleetLoads ProbeLoads(std::size_t skip = static_cast<std::size_t>(-1))
       EXCLUDES(fleetMutex_);
   /// Workers admitting new sessions (live and not drained).
@@ -354,19 +347,6 @@ class ShardRouter {
   /// outlives its slot for as long as someone still waits on it.
   std::vector<std::shared_ptr<WorkerLane>> lanes_ GUARDED_BY(fleetMutex_);
   std::vector<bool> drained_ GUARDED_BY(fleetMutex_);
-  /// Per-worker placement gate: true while a fleet operation owns the
-  /// worker (quiesced lane, sessions in motion). Submissions aimed at a
-  /// gated worker wait on gateOpen_ and re-resolve their placement.
-  std::vector<bool> gated_ GUARDED_BY(fleetMutex_);
-  CondVar gateOpen_;
-  /// In-flight admission intents per worker: incremented (under
-  /// fleetMutex_) when an admission is submitted to the worker's lane,
-  /// cleared after its placement is finalized. CloseGate waits on
-  /// intentsClear_ so a drain never misses an admitted-but-unrecorded
-  /// session.
-  std::map<std::size_t, std::size_t> admissionIntents_
-      GUARDED_BY(fleetMutex_);
-  CondVar intentsClear_;
   /// Construction errors of slots whose factory failed, by worker index.
   std::map<std::size_t, std::string> slotErrors_ GUARDED_BY(fleetMutex_);
   std::map<std::int64_t, Placement> placements_ GUARDED_BY(fleetMutex_);

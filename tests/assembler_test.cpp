@@ -356,5 +356,30 @@ TEST(Assembler, DeepOperandNestingIsAParseError) {
   EXPECT_EQ(ok.value().instructions[0].operands[2].imm, 5);
 }
 
+TEST(Assembler, DataImageIsBoundedBeforeItIsBuilt) {
+  // .balign is bounded like .align: 2^62 once aborted on bad_alloc, and
+  // 2^30 pushed 1 GiB of zeros before the loader refused it.
+  for (const char* align : {"4611686018427387904", "1073741824"}) {
+    auto result =
+        Assemble(std::string(".data\n.byte 1\n.balign ") + align + "\n");
+    ASSERT_FALSE(result.ok()) << align;
+    EXPECT_EQ(result.error().kind, ErrorKind::kParse) << align;
+  }
+  auto widest =
+      Assemble(".data\n.byte 1\n.balign 65536\n.text\naddi x1, x0, 1\n");
+  ASSERT_TRUE(widest.ok()) << widest.error().ToText();
+  EXPECT_EQ(widest.value().dataImage.size(), 65536u);
+
+  // .skip is capped per line; the image as a whole stops at the largest
+  // memory a config allows.
+  std::string skips = ".data\n";
+  for (int i = 0; i < 5; ++i) skips += ".skip 16777216\n";
+  auto tooBig = Assemble(skips);
+  ASSERT_FALSE(tooBig.ok());
+  EXPECT_EQ(tooBig.error().kind, ErrorKind::kInvalidArgument);
+  EXPECT_NE(tooBig.error().message.find("does not fit"), std::string::npos)
+      << tooBig.error().message;
+}
+
 }  // namespace
 }  // namespace rvss::assembler

@@ -9,8 +9,9 @@
 // createSession must not serialize behind an in-progress drain of an
 // unrelated worker. Alongside ride the front-door bugfix regressions:
 // ServeFrames surviving transient accept failures, WorkerLane's refusal
-// errors being kUnavailable, the lane's turn protocol (FIFO order,
-// quiesce, stop), and client inputs that once crashed the process.
+// errors being kUnavailable, the lane's turn protocol (FIFO order, held
+// turns, stop), a drain owning only its worker, and client inputs that
+// once crashed the process.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -450,7 +452,12 @@ class BlockingTransport : public shard::WorkerTransport {
       : blockOn_(std::move(blockOn)), inner_(server::SimServer::Limits{}) {}
 
   Result<json::Json> Call(const json::Json& request) override {
-    if (request.GetString("command", "") == blockOn_) {
+    const std::string command = request.GetString("command", "");
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++calls_[command];
+    }
+    if (command == blockOn_) {
       ++entered_;
       std::unique_lock<std::mutex> lock(mutex_);
       released_.wait(lock, [&] { return release_; });
@@ -461,6 +468,11 @@ class BlockingTransport : public shard::WorkerTransport {
   server::SimServer* LocalServer() override { return inner_.LocalServer(); }
 
   int entered() const { return entered_.load(); }
+  /// How many `command` requests reached this worker.
+  int calls(const std::string& command) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_[command];
+  }
   void Release() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -475,6 +487,7 @@ class BlockingTransport : public shard::WorkerTransport {
   std::mutex mutex_;
   std::condition_variable released_;
   bool release_ = false;
+  std::map<std::string, int> calls_;
   std::atomic<int> entered_{0};
 };
 
@@ -527,14 +540,14 @@ TEST(Gateway, StalledWorkerLaneShedsThroughTheGateway) {
   EXPECT_EQ(bDone.value().GetString("status", ""), "ok");
 }
 
-// ---- the intent table: admissions overlap drains ---------------------------
+// ---- a drain owns only its worker: admissions overlap drains ---------------
 
 TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
   // Worker 0's transport parks inside exportSession, so a drainWorker(0)
-  // stalls mid-move with its placement gate closed. Before the intent
-  // table, every admission then waited on the fleet mutex for the whole
-  // drain; now a createSession must land on worker 1 while the drain is
-  // still stuck.
+  // stalls mid-move holding worker 0's lane turn. When admissions held
+  // the fleet mutex across their round trip, every admission then waited
+  // for the whole drain; now a createSession must land on worker 1 while
+  // the drain is still stuck.
   auto blocking = std::make_shared<BlockingTransport>("exportSession");
   shard::ShardRouter::Options routerOptions;
   routerOptions.workerCount = 2;
@@ -594,6 +607,137 @@ TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
 
   blocking->Release();
   drainer.join();
+}
+
+/// A two-worker router whose worker 0 parks inside exportSession, with
+/// one session on worker 0 stepped `kSteppedBefore` cycles: StallDrain()
+/// leaves a drainWorker(0) stuck mid-move, holding worker 0's lane turn.
+struct StalledDrainFleet {
+  static constexpr std::int64_t kSteppedBefore = 100;
+
+  StalledDrainFleet() {
+    shard::ShardRouter::Options options;
+    options.workerCount = 2;
+    options.transportFactory =
+        [this](std::size_t worker, const server::SimServer::Limits&)
+        -> Result<std::shared_ptr<shard::WorkerTransport>> {
+      return std::shared_ptr<shard::WorkerTransport>(worker == 0 ? worker0
+                                                                 : worker1);
+    };
+    router = std::make_unique<shard::ShardRouter>(options);
+    for (int i = 0; i < 64 && sessionId < 0; ++i) {
+      json::Json created = router->Handle(
+          Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                                {"entry", json::Json("main")}}));
+      EXPECT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+      if (created.GetInt("worker", -1) == 0) {
+        sessionId = created.GetInt("sessionId", -1);
+      }
+    }
+    EXPECT_GE(sessionId, 0) << "placement never chose worker 0";
+    json::Json stepped = router->Handle(
+        Cmd("step", {{"sessionId", json::Json(sessionId)},
+                     {"count", json::Json(kSteppedBefore)}}));
+    EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  }
+
+  /// Starts the drain; true once it is provably stuck in the export.
+  bool StallDrain() {
+    drainer = std::thread([this] {
+      drained = router->Handle(Cmd("drainWorker", {{"worker", json::Json(0)}}));
+    });
+    for (int i = 0; i < 2'500 && worker0->entered() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return worker0->entered() == 1;
+  }
+
+  /// Lets the export go on and waits for the drain to finish.
+  void ReleaseDrain() {
+    worker0->Release();
+    if (drainer.joinable()) drainer.join();
+  }
+
+  ~StalledDrainFleet() { ReleaseDrain(); }
+
+  std::shared_ptr<BlockingTransport> worker0 =
+      std::make_shared<BlockingTransport>("exportSession");
+  /// Never blocks; counts what reaches worker 1.
+  std::shared_ptr<BlockingTransport> worker1 =
+      std::make_shared<BlockingTransport>("");
+  std::unique_ptr<shard::ShardRouter> router;
+  std::int64_t sessionId = -1;
+  std::thread drainer;
+  json::Json drained;
+};
+
+TEST(OwnedWorker, StepWaitingBehindAStalledDrainRunsOnTheSessionsNewWorker) {
+  // The drain holds worker 0's turn, so a step for its session waits in
+  // worker 0's lane. When its turn comes up, the session has moved: the
+  // step must re-resolve and run on worker 1, and the state must be what
+  // an undisturbed session reaches.
+  constexpr std::int64_t kSteppedAfter = 50;
+  StalledDrainFleet fleet;
+  ASSERT_GE(fleet.sessionId, 0);
+  ASSERT_TRUE(fleet.StallDrain()) << "drain never reached the export";
+
+  auto step = std::async(std::launch::async, [&fleet] {
+    return fleet.router->Handle(
+        Cmd("step", {{"sessionId", json::Json(fleet.sessionId)},
+                     {"count", json::Json(kSteppedAfter)}}));
+  });
+  EXPECT_EQ(step.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "the step ran while the drain held the session's worker";
+  fleet.ReleaseDrain();
+  EXPECT_EQ(fleet.drained.GetString("status", ""), "ok")
+      << fleet.drained.Dump();
+  const json::Json stepped = step.get();
+  ASSERT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+  EXPECT_EQ(fleet.worker0->calls("step"), 1) << "only the step before the drain";
+  EXPECT_EQ(fleet.worker1->calls("step"), 1)
+      << "the waiting step must run on the session's new worker";
+
+  server::SimServer reference;
+  json::Json created =
+      reference.Handle(Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                                             {"entry", json::Json("main")}}));
+  const std::int64_t referenceId = created.GetInt("sessionId", -1);
+  for (const std::int64_t count :
+       {StalledDrainFleet::kSteppedBefore, kSteppedAfter}) {
+    ASSERT_EQ(reference
+                  .Handle(Cmd("step", {{"sessionId", json::Json(referenceId)},
+                                       {"count", json::Json(count)}}))
+                  .GetString("status", ""),
+              "ok");
+  }
+  const json::Json expected =
+      reference.Handle(Cmd("state", {{"sessionId", json::Json(referenceId)}}));
+  const json::Json actual = fleet.router->Handle(
+      Cmd("state", {{"sessionId", json::Json(fleet.sessionId)}}));
+  ASSERT_EQ(actual.GetString("status", ""), "ok") << actual.Dump();
+  EXPECT_EQ(actual.Find("state")->Dump(), expected.Find("state")->Dump());
+}
+
+TEST(OwnedWorker, CompileIsAnsweredWhileADrainIsStalled) {
+  // A stateless command must not wait behind a drain: the drained worker
+  // is tried last, so worker 1 answers while worker 0 is still held.
+  StalledDrainFleet fleet;
+  ASSERT_GE(fleet.sessionId, 0);
+  ASSERT_TRUE(fleet.StallDrain()) << "drain never reached the export";
+
+  auto compiled = std::async(std::launch::async, [&fleet] {
+    return fleet.router->Handle(
+        Cmd("compile", {{"code", json::Json("int main() { return 1; }")}}));
+  });
+  const bool answered = compiled.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(answered) << "compile waited behind the drain";
+  EXPECT_EQ(fleet.worker0->entered(), 1) << "the drain should still be stalled";
+  fleet.ReleaseDrain();
+  const json::Json response = compiled.get();
+  EXPECT_EQ(response.GetString("status", ""), "ok") << response.Dump();
+  EXPECT_EQ(fleet.worker0->calls("compile"), 0);
 }
 
 // ---- satellite: ServeFrames survives transient accept failures -------------
@@ -680,6 +824,15 @@ TEST(ServeFrames, TransientAcceptFailuresAreCountedAndRetried) {
 
 // ---- lane refusals are retryable kUnavailable -------------------------------
 
+/// Waits for `turn` and runs one call on it.
+Result<json::Json> CallOnTurn(shard::WorkerLane& lane,
+                              shard::WorkerLane::Turn turn,
+                              const json::Json& request) {
+  Result<shard::WorkerLane::HeldTurn> held = lane.Await(turn);
+  if (!held.ok()) return held.error();
+  return held.value().Call(request);
+}
+
 TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
   auto blocking = std::make_shared<BlockingTransport>("work");
   shard::WorkerLane lane(blocking, /*maxQueueDepth=*/1);
@@ -693,7 +846,7 @@ TEST(WorkerLane, DepthCapShedsWithImmediateRetryableUnavailable) {
   auto queuedTurn = lane.TakeTurn();
   ASSERT_TRUE(queuedTurn.ok());
   auto queued = std::async(std::launch::async, [&lane, &queuedTurn] {
-    return lane.Call(queuedTurn.value(), Cmd("work"));
+    return CallOnTurn(lane, queuedTurn.value(), Cmd("work"));
   });
 
   auto shed =
@@ -782,7 +935,8 @@ TEST(WorkerLane, CallsRunInTheOrderTurnsWereTaken) {
           turn = took.value();
           taken.push_back(id);
         }
-        auto answer = lane.Call(turn, Cmd("work", {{"id", json::Json(id)}}));
+        auto answer =
+            CallOnTurn(lane, turn, Cmd("work", {{"id", json::Json(id)}}));
         if (!answer.ok()) {
           errors[t] = answer.error().message;
           return;
@@ -802,7 +956,10 @@ TEST(WorkerLane, CallsRunInTheOrderTurnsWereTaken) {
   EXPECT_FALSE(stats.inFlight);
 }
 
-TEST(WorkerLane, QuiesceWaitsForACallerStillWaitingForItsTurn) {
+TEST(WorkerLane, AwaitWaitsForAnEarlierTurnStillWaitingToRun) {
+  // What a drain relies on to own its worker: its turn comes up only
+  // after every earlier turn has run — the running caller *and* one that
+  // took its turn but has not even started waiting for it.
   auto blocking = std::make_shared<BlockingTransport>("work");
   shard::WorkerLane lane(blocking);
 
@@ -815,21 +972,54 @@ TEST(WorkerLane, QuiesceWaitsForACallerStillWaitingForItsTurn) {
   // A second caller takes its turn but has not run yet.
   auto waiting = lane.TakeTurn();
   ASSERT_TRUE(waiting.ok());
+  auto later = lane.TakeTurn();
+  ASSERT_TRUE(later.ok());
 
-  auto quiesced = std::async(std::launch::async, [&lane] { lane.Quiesce(); });
-  EXPECT_EQ(quiesced.wait_for(std::chrono::milliseconds(50)),
+  auto owned = std::async(std::launch::async,
+                          [&lane, &later] { return lane.Await(later.value()).ok(); });
+  EXPECT_EQ(owned.wait_for(std::chrono::milliseconds(50)),
             std::future_status::timeout)
-      << "Quiesce returned while a call was running";
+      << "a later turn came up while a call was running";
   blocking->Release();
   ASSERT_TRUE(running.get().ok());
-  // Nothing runs now, but a turn is still outstanding.
-  EXPECT_EQ(quiesced.wait_for(std::chrono::milliseconds(100)),
+  // Nothing runs now, but an earlier turn is still outstanding.
+  EXPECT_EQ(owned.wait_for(std::chrono::milliseconds(100)),
             std::future_status::timeout)
-      << "Quiesce returned while a caller was waiting for its turn";
+      << "a later turn came up while an earlier caller was waiting for its turn";
 
-  ASSERT_TRUE(lane.Call(waiting.value(), Cmd("work")).ok());
-  EXPECT_EQ(quiesced.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
+  ASSERT_TRUE(CallOnTurn(lane, waiting.value(), Cmd("work")).ok());
+  const bool cameUp = owned.wait_for(std::chrono::seconds(10)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(cameUp);
+  if (!cameUp) lane.Stop();  // unblocks the waiter so the test can end
+  EXPECT_EQ(owned.get(), cameUp);
+}
+
+TEST(WorkerLane, AHeldTurnDestroyedWithoutACallPassesTheTurnOn) {
+  auto recorder = std::make_shared<RecordingTransport>();
+  shard::WorkerLane lane(recorder);
+  auto first = lane.TakeTurn();
+  auto second = lane.TakeTurn();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  {
+    auto held = lane.Await(first.value());
+    ASSERT_TRUE(held.ok());
+    EXPECT_TRUE(lane.stats().inFlight);
+  }
+
+  auto next = std::async(std::launch::async, [&lane, &second] {
+    return CallOnTurn(lane, second.value(), Cmd("work", {{"id", json::Json(7)}}));
+  });
+  const bool cameUp = next.wait_for(std::chrono::seconds(10)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(cameUp) << "the unused turn was never passed on";
+  if (!cameUp) lane.Stop();  // unblocks the waiter so the test can end
+  EXPECT_TRUE(next.get().ok());
+  EXPECT_EQ(recorder->order(), std::vector<std::int64_t>{7});
+  const shard::WorkerLane::Stats stats = lane.stats();
+  EXPECT_EQ(stats.dispatched, 1u);
+  EXPECT_FALSE(stats.inFlight);
 }
 
 TEST(WorkerLane, StopAnswersAWaitingCallerWithRetryableUnavailable) {
@@ -847,7 +1037,7 @@ TEST(WorkerLane, StopAnswersAWaitingCallerWithRetryableUnavailable) {
   auto turn = lane.TakeTurn();
   ASSERT_TRUE(turn.ok());
   auto waiting = std::async(std::launch::async, [&lane, &turn] {
-    return lane.Call(turn.value(), Cmd("work"));
+    return CallOnTurn(lane, turn.value(), Cmd("work"));
   });
 
   lane.Stop();
@@ -896,6 +1086,14 @@ TEST(Gateway, CrashInputsGetTypedEnvelopesAndTheFleetLivesOn) {
   cache.Set("associativity", 1);
   cache.Set("lineSizeBytes", 4096);
   oversizedCache.Set("cache", std::move(cache));
+  // 2^29 doubles: 2^32 bytes, once wrapped to 0 by a 32-bit size.
+  json::Json hugeArray = json::Json::MakeObject();
+  hugeArray.Set("name", "a");
+  hugeArray.Set("type", "double");
+  hugeArray.Set("constant", 1);
+  hugeArray.Set("count", static_cast<std::int64_t>(536870912));
+  json::Json hugeArrays = json::Json::MakeArray();
+  hugeArrays.Append(std::move(hugeArray));
   const Case cases[] = {
       {Cmd("createSession",
            {{"isC", json::Json(true)},
@@ -911,6 +1109,13 @@ TEST(Gateway, CrashInputsGetTypedEnvelopesAndTheFleetLivesOn) {
       {Cmd("createSession", {{"code", json::Json("addi x1, x0, 1")},
                              {"config", oversizedCache}}),
        "config"},
+      {Cmd("createSession", {{"code", json::Json("addi x1, x0, 1")},
+                             {"arrays", hugeArrays}}),
+       "invalid_argument"},
+      {Cmd("createSession",
+           {{"code", json::Json(".data\n.byte 1\n"
+                                ".balign 4611686018427387904\n")}}),
+       "parse"},
   };
   for (const Case& bad : cases) {
     const json::Json response = client.Call(bad.request);

@@ -259,6 +259,33 @@ TEST(MemoryInitializer, RejectsDuplicatesAndOverflow) {
   EXPECT_FALSE(InitializeArrays(memory, {def}, 0).ok());
 }
 
+TEST(MemoryInitializer, ByteSizesDoNotWrapAndCountsAreRangeChecked) {
+  // 2^29 doubles are 2^32 bytes: a 32-bit product wraps to 0, passes the
+  // fit check, and the fill then writes far past the end of memory.
+  auto huge = ArrayDefinitionFromJson(json::Parse(
+      R"({"name":"a","type":"double","constant":1,"count":536870912})")
+                                          .value());
+  ASSERT_TRUE(huge.ok()) << huge.error().ToText();
+  EXPECT_EQ(huge.value().ByteSize(), std::uint64_t{1} << 32);
+  MainMemory memory(4096);
+  auto layout = InitializeArrays(memory, {huge.value()}, 0);
+  ASSERT_FALSE(layout.ok());
+  EXPECT_EQ(layout.error().kind, ErrorKind::kInvalidArgument);
+  EXPECT_NE(layout.error().message.find("does not fit"), std::string::npos);
+
+  // Out-of-range counts and alignments are errors, not truncations
+  // (4294967297 used to become a count of 1).
+  for (const char* text :
+       {R"({"name":"a","type":"word","constant":1,"count":4294967297})",
+        R"({"name":"a","type":"word","random":true,"count":-1})",
+        R"({"name":"a","type":"word","values":[1],"alignment":-8})",
+        R"({"name":"a","type":"word","values":[1],"alignment":8589934592})"}) {
+    auto parsed = ArrayDefinitionFromJson(json::Parse(text).value());
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().kind, ErrorKind::kParse) << text;
+  }
+}
+
 TEST(MemoryInitializer, JsonRoundTrip) {
   ArrayDefinition def;
   def.name = "data";

@@ -152,6 +152,34 @@ TEST(Api, OversizedConfigIsATypedErrorAndTheServerLivesOn) {
   EXPECT_TRUE(hello.GetBool("hello", false));
 }
 
+TEST(Api, OversizedArrayIsATypedErrorAndTheServerLivesOn) {
+  SimServer server;
+  const struct {
+    const char* array;
+    const char* kind;
+  } cases[] = {
+      {R"({"name":"a","type":"double","constant":1,"count":536870912})",
+       "invalid_argument"},
+      {R"({"name":"a","type":"word","constant":1,"count":4294967297})",
+       "parse"},
+  };
+  for (const auto& bad : cases) {
+    json::Json request = json::Json::MakeObject();
+    request.Set("command", "createSession");
+    request.Set("code", "addi x1, x0, 1");
+    json::Json arrays = json::Json::MakeArray();
+    arrays.Append(Parse(bad.array));
+    request.Set("arrays", std::move(arrays));
+    const json::Json response = Parse(server.HandleRaw(request.Dump()));
+    testutil::CheckErrorEnvelope(response);
+    EXPECT_EQ(testutil::ErrorOf(response).GetString("kind", ""), bad.kind)
+        << bad.array;
+  }
+  const json::Json hello =
+      Parse(server.HandleRaw(R"({"command": "hello"})"));
+  EXPECT_TRUE(hello.GetBool("hello", false));
+}
+
 TEST(Api, ParseAsmValidatesSource) {
   SimServer server;
   json::Json good = server.Handle(

@@ -628,7 +628,7 @@ TEST(Elastic, RemoveWorkerWithNoDestinationFailsClosed) {
             "error");
 }
 
-// ---- concurrency: dispatch lanes and the quiesce barrier --------------------
+// ---- concurrency: dispatch lanes and drains that own their worker ----------
 
 /// Runs the same deterministic mixed-command script against any target
 /// (bare SimServer or router): checkpointed steps, a rewind, bounded
@@ -708,7 +708,7 @@ TEST(Concurrency, ParallelMixedWorkloadMatchesBareServer) {
 
   std::atomic<bool> stopChaos{false};
   std::thread chaos([&router, &stopChaos] {
-    // Forever: drain a worker (quiesce + migrate its sessions), reopen
+    // Forever: drain a worker (own it + migrate its sessions), reopen
     // it, next worker. Every operation must succeed or report a clean
     // error; the drivers below must never notice.
     for (std::size_t worker = 0; !stopChaos.load(); worker = (worker + 1) % 4) {
@@ -752,9 +752,9 @@ TEST(Concurrency, ParallelMixedWorkloadMatchesBareServer) {
 
 TEST(Concurrency, DrainDuringInflightRunQuiescesThenMigrates) {
   // A drain issued while a `run` is executing on the drained worker must
-  // wait for the request (the quiesce barrier), then migrate the session
-  // — the run completes normally, the session lands elsewhere, and the
-  // final state matches an undisturbed reference run.
+  // wait for the request (its turn comes after the run's), then migrate
+  // the session — the run completes normally, the session lands
+  // elsewhere, and the final state matches an undisturbed reference run.
   ShardRouter::Options options;
   options.workerCount = 2;
   ShardRouter router(options);
@@ -818,12 +818,12 @@ TEST(Concurrency, DrainDuringInflightRunQuiescesThenMigrates) {
       << "quiesced migration must be invisible to simulation state";
 }
 
-TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
-  // 8 driver threads share ONE worker's lane, so the caller-runs fast
-  // path (idle lane) and the queued/batched path (contended lane)
-  // interleave constantly. Per-session command order must survive the
-  // constant path switching: every session's final statistics must equal
-  // the same script run sequentially on a bare SimServer.
+TEST(Concurrency, SharedLaneKeepsPerSessionOrderUnderEightThreadStress) {
+  // 8 driver threads share ONE worker's lane, so callers that find it
+  // idle and callers that wait for their turn interleave constantly.
+  // Per-session command order must survive the contention: every
+  // session's final statistics must equal the same script run
+  // sequentially on a bare SimServer.
   constexpr int kSessions = 8;
 
   std::vector<std::string> expected(kSessions);
@@ -867,14 +867,14 @@ TEST(Concurrency, LaneFastPathKeepsPerSessionOrderUnderEightThreadStress) {
   for (int i = 0; i < kSessions; ++i) {
     ASSERT_TRUE(errors[i].empty()) << "session " << i << ": " << errors[i];
     EXPECT_EQ(actual[i], expected[i])
-        << "session " << i << " diverged under the lane fast path";
+        << "session " << i << " diverged on the shared lane";
   }
   // The sequential session creations alone guarantee idle-lane windows,
-  // so the fast path must actually have fired.
+  // so some calls must have found the lane idle.
   EXPECT_GT(
       obs::Registry::Instance().GetCounter("shard.lane.directCalls").value(),
       directBefore)
-      << "the caller-runs fast path never engaged";
+      << "no call ever found the lane idle";
 }
 
 namespace {
@@ -917,11 +917,10 @@ class GatedRunTransport : public WorkerTransport {
 
 }  // namespace
 
-TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
-  // PR 8's load-shed semantics must survive the fast path: a direct call
-  // holds the lane busy exactly like a queued job, so with a depth cap
-  // of 1, one follow-up queues and every further one is shed immediately
-  // with the retryable-unavailable envelope.
+TEST(Concurrency, DepthCapShedsCallersWaitingBehindARunAndAnswersTheEnvelope) {
+  // A call holding the lane's turn keeps it busy, so with a depth cap of
+  // 1, one follow-up waits for its turn and every further one is shed
+  // immediately with the retryable-unavailable envelope.
   auto gated = std::make_shared<GatedRunTransport>(server::SimServer::Limits{});
   ShardRouter::Options options;
   options.workerCount = 1;
@@ -934,8 +933,8 @@ TEST(Concurrency, DepthCapShedsWithTheFastPathOnAndAnswersTheEnvelope) {
   ShardRouter router(options);
   const std::int64_t id = MustCreateSession(router);
 
-  // The run claims the idle lane via the fast path and parks inside the
-  // gated transport — the lane is now provably busy.
+  // The run takes the idle lane's turn and parks inside the gated
+  // transport — the lane is now provably busy.
   std::thread runner([&router, id] {
     json::Json ran = Cmd(router, "run", {{"sessionId", json::Json(id)},
                                          {"maxCycles", json::Json(100)}});
