@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   gateway::GatewayOptions gatewayOptions;
   gatewayOptions.address = shard::MakeWorkerAddress("bench-gw");
   auto gateway = gateway::Gateway::Start(
-      [&router](const json::Json& request) { return router.Handle(request); },
+      [&router](const json::Json& request) { return router.Serve(request); },
       gatewayOptions);
   if (!gateway.ok()) {
     std::fprintf(stderr, "gateway start failed: %s\n",

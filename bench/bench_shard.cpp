@@ -11,6 +11,7 @@
 // encode + syscall + process-switch cost of the real deployment shape.
 // The routing overhead measures the per-request tax of the extra
 // id-rewrite hop — it should be noise against the simulation work itself.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -388,10 +389,8 @@ int main(int argc, char** argv) {
   {
     class StubTransport : public shard::WorkerTransport {
      public:
-      Result<json::Json> Call(const json::Json&) override {
-        json::Json response = json::Json::MakeObject();
-        response.Set("status", "ok");
-        return response;
+      Result<server::Reply> Call(const json::Json&) override {
+        return server::Reply{"{\"status\":\"ok\"}", {}};
       }
       std::string Describe() const override { return "stub"; }
     };
@@ -412,6 +411,62 @@ int main(int argc, char** argv) {
     std::printf("\n# lane small-request dispatch latency (stub transport)\n");
     std::printf("%-22s %10.2f us/request\n", "idle lane", laneUs);
     report.Set("lane_small_request_us", laneUs);
+  }
+
+  // --- a routed GUI step over a socket worker ---------------------------------
+  // The paper's interactive request end to end below the gateway: one
+  // `step count=1` on a C sort kernel (-O2, default config, 256 cycles
+  // in), whose reply is the full rendered state (~30 KiB), through
+  // ShardRouter::HandleRaw over a forked worker process. The reply
+  // crosses the socket as frame bytes and goes up unparsed; the number is
+  // the worker's render + serialize plus the hops. Median of the timed
+  // requests, so a scheduling hiccup on a shared host does not move it.
+  {
+    shard::SpawnedFleet stepFleet;
+    shard::ShardRouter::Options stepOptions;
+    stepOptions.workerCount = 1;
+    stepOptions.transportFactory =
+        shard::MakeSpawningTransportFactory(&stepFleet, "bench-step");
+    shard::ShardRouter stepRouter(stepOptions);
+    json::Json created = stepRouter.Handle(
+        Cmd("createSession", {{"code", json::Json(bench::kSortC)},
+                              {"isC", json::Json(true)},
+                              {"optLevel", json::Json(2)}}));
+    if (!Ok(created, "routed step createSession")) return 1;
+    const std::int64_t id = created.GetInt("sessionId", -1);
+    if (!Ok(stepRouter.Handle(Cmd("step", {{"sessionId", json::Json(id)},
+                                           {"count", json::Json(256)}})),
+            "routed step warm-up")) {
+      return 1;
+    }
+    const std::string stepRequest =
+        Cmd("step", {{"sessionId", json::Json(id)}, {"count", json::Json(1)}})
+            .Dump();
+    constexpr int kWarmup = 50;
+    constexpr int kTimed = 400;
+    std::size_t replyBytes = 0;
+    for (int i = 0; i < kWarmup; ++i) {
+      replyBytes = stepRouter.HandleRaw(stepRequest).size();
+    }
+    std::vector<double> stepUs;
+    stepUs.reserve(kTimed);
+    for (int i = 0; i < kTimed; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::string reply = stepRouter.HandleRaw(stepRequest);
+      stepUs.push_back(bench::SecondsSince(start) * 1e6);
+      if (reply.rfind("{\"status\":\"ok\"", 0) != 0) {
+        std::fprintf(stderr, "routed step failed: %.200s\n", reply.c_str());
+        return 1;
+      }
+    }
+    std::sort(stepUs.begin(), stepUs.end());
+    const double medianUs = stepUs[stepUs.size() / 2];
+    std::printf("\n# routed GUI step over a socket worker (%d requests, "
+                "%zu-byte replies)\n",
+                kTimed, replyBytes);
+    std::printf("%-22s %10.1f us (p90 %.1f us)\n", "median step",
+                medianUs, stepUs[stepUs.size() * 9 / 10]);
+    report.Set("routed_step_us", medianUs);
   }
 
   // --- steady-state routing overhead ------------------------------------------

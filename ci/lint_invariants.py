@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler cannot check.
 
-Five rules, each encoding an invariant this codebase has been burned by
+Six rules, each encoding an invariant this codebase has been burned by
 (or nearly so). The linter is a tripwire, not a proof: it is regex- and
 token-based, deliberately simple, and errs toward false negatives over
 false positives so it can run with zero suppressions on a clean tree.
@@ -49,6 +49,13 @@ false positives so it can run with zero suppressions on a clean tree.
                       lane or the gateway's request path becomes a
                       reviewed change to the allowlist.
 
+  reply-bytes         No Dump() in src/gateway/. Replies reach the
+                      gateway as frame bytes (server::Reply) and leave it
+                      as the same bytes; its own small answers (hello,
+                      shed, quota) become a Reply through
+                      server::ToReply. A Dump() there means a reply is
+                      being re-rendered on the single I/O thread.
+
 Usage: python3 ci/lint_invariants.py [--root DIR] [--rule NAME]...
 Exits 0 when clean, 1 with one `path:line: [rule] message` per finding.
 """
@@ -75,9 +82,13 @@ THREAD_ALLOW = {
 # carry no SaveState themselves (they *are* the saved state).
 EXTRA_STATE_STRUCTS = {"SimSnapshot"}
 
+# Directories whose code forwards replies as bytes and must not
+# serialize a document itself.
+REPLY_BYTES_DIRS = ("src/gateway/",)
+
 DERIVED_MARK = "snapshot: derived"
 ALL_RULES = ("snapshot-coverage", "error-envelope", "metric-naming",
-             "mutex-guard", "thread-spawn")
+             "mutex-guard", "thread-spawn", "reply-bytes")
 
 
 class Finding:
@@ -392,12 +403,28 @@ def check_thread_spawn(files, root, findings):
                 f"be added to THREAD_ALLOW in ci/lint_invariants.py"))
 
 
+DUMP_RE = re.compile(r"(?:\.|->)\s*Dump(?:Pretty)?\s*\(")
+
+
+def check_reply_bytes(files, root, findings):
+    for rel, text, masked, nostr in files:
+        if not rel.startswith(REPLY_BYTES_DIRS):
+            continue
+        for m in DUMP_RE.finditer(masked):
+            findings.append(Finding(
+                rel, line_of(text, m.start()), "reply-bytes",
+                "Dump() in the gateway: replies pass through as frame "
+                "bytes (server::Reply); build the gateway's own answers "
+                "with server::ToReply"))
+
+
 CHECKS = {
     "snapshot-coverage": check_snapshot_coverage,
     "error-envelope": check_error_envelope,
     "metric-naming": check_metric_naming,
     "mutex-guard": check_mutex_guard,
     "thread-spawn": check_thread_spawn,
+    "reply-bytes": check_reply_bytes,
 }
 
 

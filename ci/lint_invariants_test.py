@@ -303,6 +303,44 @@ class ThreadSpawnTest(unittest.TestCase):
         self.assertIn("std::async", findings[0].message)
 
 
+class ReplyBytesTest(unittest.TestCase):
+    RULE = ["reply-bytes"]
+
+    def test_gateway_writing_reply_bytes_passes(self):
+        code, findings = run_lint({
+            "src/gateway/gateway.cpp": """
+                // Replies are never re-rendered here: no .Dump() at all.
+                bool Send(Connection& c, const server::Reply& reply) {
+                  c.writeBuf += reply.text;
+                  return Respond(c, server::ToReply(MakeHelloResponse()));
+                }
+                const char* kNote = "response.Dump() is banned";
+                """,
+            "src/shard/router.cpp": """
+                std::string Text(const json::Json& j) { return j.Dump(); }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 0, findings)
+
+    def test_dump_in_the_gateway_fails(self):
+        code, findings = run_lint({
+            "src/gateway/gateway.cpp": """
+                bool Send(Connection& c, json::Json response) {
+                  c.writeBuf += response.Dump();
+                  return true;
+                }
+                """,
+            "src/gateway/gateway.h": """
+                inline std::string Pretty(const json::Json* j) {
+                  return j->DumpPretty();
+                }
+                """,
+        }, self.RULE)
+        self.assertEqual(code, 1)
+        self.assertEqual(len(findings), 2, findings)
+        self.assertEqual(rules_of(findings), {"reply-bytes"})
+
+
 class RealTreeTest(unittest.TestCase):
     """The linter must be clean on the repository it ships in."""
 

@@ -549,7 +549,7 @@ int RunGateway(const Options& options, std::ostream& out, std::ostream& err) {
   gateway::GatewayOptions gatewayOptions;
   gatewayOptions.address = options.gatewayListen;
   auto gateway = gateway::Gateway::Start(
-      [&router](const json::Json& request) { return router.Handle(request); },
+      [&router](const json::Json& request) { return router.Serve(request); },
       gatewayOptions);
   if (!gateway.ok()) {
     err << "gateway error: " << gateway.error().ToText() << "\n";

@@ -357,6 +357,14 @@ Result<Socket> ConnectTo(const std::string& address, int timeoutMs) {
   // IPv6-less container) must not stop the v4 candidate behind it from
   // being tried — the whole connect fails only when no candidate is
   // worth retrying.
+  //
+  // The pause between rounds starts at 1 ms and doubles up to 10 ms: a
+  // just-exec'd peer binds within a millisecond or two, and a fixed
+  // 10-ms pause made every connect that raced such a bind cost a whole
+  // 10 ms (a fleet's set-up paid it on its first gateway connect, every
+  // time). A peer that stays away is still polled every 10 ms until the
+  // same deadline.
+  long pauseNs = 1'000'000;
   while (true) {
     int lastErrno = ECONNREFUSED;
     bool anyRetryable = false;
@@ -387,8 +395,9 @@ Result<Socket> ConnectTo(const std::string& address, int timeoutMs) {
       errno = lastErrno;
       return SysError("connect " + address);
     }
-    struct timespec pause = {0, 10'000'000};  // 10ms between attempts
+    struct timespec pause = {0, pauseNs};
     ::nanosleep(&pause, nullptr);
+    pauseNs = std::min(pauseNs * 2, 10'000'000L);
   }
 }
 

@@ -32,26 +32,9 @@ constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventTag = 1;
 constexpr std::uint64_t kFirstConnectionId = 2;
 
-json::Json UnavailableError(std::string message) {
-  return server::MakeErrorResponse(
-      Error{ErrorKind::kUnavailable, std::move(message)});
-}
-
-/// Moves a non-empty top-level "blob" string out of `message` — the
-/// send-side half of the wire split (server/wire.h), re-implemented here
-/// because the gateway serializes into buffers, not onto a socket.
-std::string DetachBlob(json::Json& message) {
-  if (!message.IsObject()) return {};
-  json::Object& object = message.AsObject();
-  for (auto it = object.begin(); it != object.end(); ++it) {
-    if (it->first == "blob" && it->second.IsString() &&
-        !it->second.AsString().empty()) {
-      std::string blob = std::move(it->second.AsString());
-      object.erase(it);
-      return blob;
-    }
-  }
-  return {};
+server::Reply UnavailableError(std::string message) {
+  return server::ToReply(server::MakeErrorResponse(
+      Error{ErrorKind::kUnavailable, std::move(message)}));
 }
 
 /// All gateway metrics, resolved once. Counters/gauges are always-on
@@ -171,7 +154,7 @@ class Gateway::Impl {
 
   struct Completion {
     std::uint64_t connectionId = 0;
-    json::Json response;
+    server::Reply reply;
   };
 
   Status AddToEpoll(int fd, std::uint64_t tag, std::uint32_t events) {
@@ -207,11 +190,10 @@ class Gateway::Impl {
         job = std::move(dispatchQueue_.front());
         dispatchQueue_.pop_front();
       }
-      json::Json response = handler_(job.request);
+      server::Reply reply = handler_(job.request);
       {
         MutexLock lock(completionMutex_);
-        completions_.push_back(
-            Completion{job.connectionId, std::move(response)});
+        completions_.push_back(Completion{job.connectionId, std::move(reply)});
       }
       WakeIoThread();
     }
@@ -424,8 +406,9 @@ class Gateway::Impl {
         // (trustworthy) frame boundary and keep serving, exactly like
         // the worker frame loop.
         metrics.frameErrors.Increment();
-        if (!SendResponse(connection,
-                          server::MakeErrorResponse(parsed.error()))) {
+        const server::Reply refusal =
+            server::ToReply(server::MakeErrorResponse(parsed.error()));
+        if (!SendResponse(connection, refusal)) {
           return false;
         }
         continue;
@@ -445,7 +428,8 @@ class Gateway::Impl {
     Metrics& metrics = Metrics::Get();
     const std::string command = request.GetString("command", "");
     if (command == "hello") {
-      return SendResponse(connection, server::MakeHelloResponse());
+      return SendResponse(connection,
+                          server::ToReply(server::MakeHelloResponse()));
     }
     if (command == "shutdownGateway") {
       // Out-of-band, mirroring the workers' shutdownWorker: acknowledge,
@@ -454,7 +438,8 @@ class Gateway::Impl {
       json::Json response = json::Json::MakeObject();
       response.Set("status", "ok");
       response.Set("shutdown", true);
-      const bool alive = SendResponse(connection, std::move(response));
+      const bool alive =
+          SendResponse(connection, server::ToReply(std::move(response)));
       stopping_.store(true, std::memory_order_relaxed);
       return alive;
     }
@@ -518,14 +503,17 @@ class Gateway::Impl {
       connection.inFlight = false;
       --inFlightCount_;
 
-      // Session-quota bookkeeping from the response, on the I/O thread:
-      // a successful admission charges the quota, a successful delete
-      // releases it.
-      const bool ok = completion.response.GetString("status", "") == "ok";
+      // Session-quota bookkeeping from the reply, on the I/O thread: a
+      // successful admission charges the quota, a successful delete
+      // releases it. The status leads every reply; only an admission's
+      // (small) reply is parsed, for the session id it carries.
+      const bool ok = server::ReplyIsOk(completion.reply.text);
       if (ok && (connection.pendingCommand == "createSession" ||
                  connection.pendingCommand == "importSession")) {
-        connection.sessions.insert(
-            completion.response.GetInt("sessionId", -1));
+        auto admitted = json::Parse(completion.reply.text);
+        if (admitted.ok()) {
+          connection.sessions.insert(admitted.value().GetInt("sessionId", -1));
+        }
       } else if (ok && connection.pendingCommand == "deleteSession") {
         connection.sessions.erase(connection.pendingSessionId);
       }
@@ -539,7 +527,7 @@ class Gateway::Impl {
                               connection.pendingCommand)))
             .Record(elapsedUs);
       }
-      if (!SendResponse(connection, std::move(completion.response))) {
+      if (!SendResponse(connection, completion.reply)) {
         continue;
       }
       // The response may have unblocked a pipelined frame.
@@ -549,17 +537,15 @@ class Gateway::Impl {
     }
   }
 
-  /// Serializes `response` into the connection's write buffer (header +
-  /// JSON + detached blob) and flushes what the socket accepts now; the
-  /// rest drains on EPOLLOUT. Returns false when the flush hit a hard
-  /// error and the connection was closed.
-  bool SendResponse(Connection& connection, json::Json response) {
-    const std::string blob = DetachBlob(response);
-    const std::string text = response.Dump();
+  /// Appends `reply` to the connection's write buffer as one frame (a new
+  /// header, then the two sections exactly as they came) and flushes what
+  /// the socket accepts now; the rest drains on EPOLLOUT. Returns false
+  /// when the flush hit a hard error and the connection was closed.
+  bool SendResponse(Connection& connection, const server::Reply& reply) {
     connection.writeBuf +=
-        net::EncodeFrameHeader(text.size(), blob.size());
-    connection.writeBuf += text;
-    connection.writeBuf += blob;
+        net::EncodeFrameHeader(reply.text.size(), reply.blob.size());
+    connection.writeBuf += reply.text;
+    connection.writeBuf += reply.blob;
     TryFlush(connection);
     if (connection.closeAfterFlush && connection.writeBuf.empty()) {
       CloseConnection(connection.id);

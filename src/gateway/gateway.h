@@ -20,11 +20,18 @@
 //     allows — a slow or dribbling client costs its own connection
 //     memory, never a thread and never another client's latency.
 //   * Parsed requests are handed to a dispatcher pool that calls the
-//     (blocking) Handler — in production shard::ShardRouter::Handle,
+//     (blocking) Handler — in production shard::ShardRouter::Serve,
 //     whose lanes fan the work across workers. Completions return to the
 //     I/O thread over an eventfd. One request per connection is in
 //     flight at a time; frames pipelined behind it wait buffered, so a
 //     connection's requests execute in order.
+//   * Replies are bytes. The Handler returns a server::Reply — for a
+//     session command, the frame sections the worker serialized — and
+//     the I/O thread writes a new frame header and the two sections into
+//     the connection's write buffer: no parse, no Dump. The gateway's
+//     own small answers (hello, shed, quota, parse errors) become a
+//     Reply through server::ToReply. Quota bookkeeping reads a reply's
+//     status from its first key and parses only admission replies.
 //
 // Admission control, all answered with retryable kUnavailable errors
 // rather than queueing without bound (the ErrorKind exists for exactly
@@ -92,8 +99,8 @@ struct GatewayOptions {
 class Gateway {
  public:
   /// The request handler, called from dispatcher threads — must be
-  /// thread-safe and may block (shard::ShardRouter::Handle is both).
-  using Handler = std::function<json::Json(const json::Json&)>;
+  /// thread-safe and may block (shard::ShardRouter::Serve is both).
+  using Handler = std::function<server::Reply(const json::Json&)>;
 
   /// Binds `options.address`, spawns the I/O thread and the dispatcher
   /// pool, and starts serving. Fails if the address cannot be bound.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace rvss::json {
 
@@ -50,6 +51,28 @@ void Json::Append(Json value) {
   if (type_ == Type::kNull) *this = MakeArray();
   if (type_ != Type::kArray) return;
   array_.push_back(std::move(value));
+}
+
+namespace {
+
+/// 2^63 as a double: the first value past the int64 range. Every double
+/// in [-2^63, 2^63) converts exactly-or-truncated without overflow.
+constexpr double kTwoTo63 = 9223372036854775808.0;
+
+}  // namespace
+
+bool Json::FitsInt() const {
+  if (type_ == Type::kInt) return true;
+  return type_ == Type::kDouble && double_ >= -kTwoTo63 && double_ < kTwoTo63;
+}
+
+std::int64_t Json::AsInt() const {
+  if (type_ == Type::kInt) return int_;
+  if (type_ != Type::kDouble) return 0;
+  if (FitsInt()) return static_cast<std::int64_t>(double_);
+  if (double_ >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
+  if (double_ < -kTwoTo63) return std::numeric_limits<std::int64_t>::min();
+  return 0;  // NaN
 }
 
 bool Json::GetBool(std::string_view key, bool fallback) const {

@@ -76,11 +76,13 @@ class Json {
   /// defined (returns zero value) otherwise. Prefer the Get* forms below
   /// for untrusted input.
   bool AsBool() const { return IsBool() ? bool_ : false; }
-  std::int64_t AsInt() const {
-    if (IsInt()) return int_;
-    if (type_ == Type::kDouble) return static_cast<std::int64_t>(double_);
-    return 0;
-  }
+  /// A double truncates toward zero; one beyond the int64 range saturates
+  /// to its nearest end (a bare cast would be undefined). Request fields
+  /// that must refuse such a value check FitsInt first.
+  std::int64_t AsInt() const;
+  /// True for an int node, and for a double an int64 can hold after
+  /// truncation; false for every other node.
+  bool FitsInt() const;
   double AsDouble() const {
     if (type_ == Type::kDouble) return double_;
     if (IsInt()) return static_cast<double>(int_);

@@ -127,6 +127,18 @@ std::string ErrorMessage(const json::Json& response,
              : std::string(fallback);
 }
 
+Status CheckIntegerFields(const json::Json& request) {
+  if (!request.IsObject()) return Status::Ok();
+  for (const auto& [key, value] : request.AsObject()) {
+    if (value.IsNumber() && !value.FitsInt()) {
+      return Status::Fail(ErrorKind::kInvalidArgument,
+                          "'" + key +
+                              "' is outside the 64-bit integer range");
+    }
+  }
+  return Status::Ok();
+}
+
 json::Json SimServer::ErrorResponse(const Error& error) const {
   return MakeErrorResponse(error);
 }
@@ -143,13 +155,26 @@ Result<SimServer::Session*> SimServer::FindSession(const json::Json& request) {
 
 json::Json SimServer::Dispatch(const json::Json& request) {
   const std::string command = request.GetString("command", "");
+  if (Status fits = CheckIntegerFields(request); !fits.ok()) {
+    return ErrorResponse(fits.error());
+  }
 
-  // Every process that speaks the API answers hello itself — the frame
-  // loop, gateway and router do it before routing, and the bare
-  // in-process server matches them so an embedder sees the same
-  // version/capability fields without a wire in between.
+  // Every process that speaks the API answers hello itself — the gateway
+  // and router before routing, a worker here (its frame loop serves
+  // through HandleFrame), and a bare in-process server the same way, so
+  // an embedder sees the same version/capability fields without a wire
+  // in between.
   if (command == "hello") {
     return MakeHelloResponse();
+  }
+  if (command == "shutdownWorker") {
+    // Out-of-band teardown of a worker process: acknowledged here, and
+    // the frame loop serving this server stops once the ack is written.
+    // The router never forwards it from a client (see shard/router.h).
+    shutdownRequested_ = true;
+    json::Json response = Ok();
+    response.Set("shutdown", true);
+    return response;
   }
 
   if (command == "compile") {
@@ -412,9 +437,11 @@ json::Json SimServer::Dispatch(const json::Json& request) {
     span.SetDetail(StrFormat("cycle=%llu blobBytes=%zu",
                              static_cast<unsigned long long>(sim.cycle()),
                              blob.size()));
-    response.Set("blob", std::move(blob));
     response.Set("cycle", static_cast<std::int64_t>(sim.cycle()));
     response.Set("encoding", encoding);
+    // Last, so the blob a frame detaches is reattached where it was: a
+    // reply's joined bytes (server::JoinReply) equal this document's Dump.
+    response.Set("blob", std::move(blob));
     return response;
   }
   if (command == "saveCheckpoint") {
@@ -503,21 +530,16 @@ json::Json SimServer::Handle(const json::Json& request) {
   return response;
 }
 
-std::string HandleRawVia(
-    const std::function<json::Json(const json::Json&)>& handler,
-    std::string_view requestBytes, bool compress, RequestTiming* timing) {
+std::string SimServer::HandleRaw(std::string_view requestBytes, bool compress,
+                                 RequestTiming* timing) {
   RequestTiming local;
   std::uint64_t t0 = NowNs();
   auto request = json::Parse(requestBytes);
   std::uint64_t t1 = NowNs();
   local.parseNs = t1 - t0;
 
-  json::Json response;
-  if (!request.ok()) {
-    response = MakeErrorResponse(request.error());
-  } else {
-    response = handler(request.value());
-  }
+  json::Json response = request.ok() ? Dispatch(request.value())
+                                     : MakeErrorResponse(request.error());
   std::uint64_t t2 = NowNs();
   local.handleNs = t2 - t1;
 
@@ -537,11 +559,16 @@ std::string HandleRawVia(
   return serialized;
 }
 
-std::string SimServer::HandleRaw(std::string_view requestBytes, bool compress,
-                                 RequestTiming* timing) {
-  return HandleRawVia(
-      [this](const json::Json& request) { return Dispatch(request); },
-      requestBytes, compress, timing);
+Reply SimServer::HandleFrame(std::string_view text, std::string blob) {
+  auto request = json::Parse(text);
+  if (!request.ok()) {
+    // An intact frame with malformed JSON: answered, and counted with
+    // the frame loop's unreadable frames.
+    obs::Registry::Instance().GetCounter("server.frameErrors").Increment();
+    return ToReply(MakeErrorResponse(request.error()));
+  }
+  if (!blob.empty()) request.value().Set("blob", std::move(blob));
+  return ToReply(Handle(request.value()));
 }
 
 }  // namespace rvss::server

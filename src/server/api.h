@@ -18,10 +18,17 @@
 //   stats             {sessionId}                      -> {statistics, checkpoints}
 //   saveCheckpoint    {sessionId}                      -> {cycle, checkpoints}
 //   restoreCheckpoint {sessionId, cycle}               -> {state, replayedCycles}
-//   exportSession     {sessionId}                      -> {blob, cycle}
+//   exportSession     {sessionId, encoding?}           -> {cycle, encoding, blob}
 //   importSession     {blob}                           -> {sessionId, cycle}
 //   deleteSession     {sessionId}                      -> {ok}
 //   listSessions      {}                               -> {sessions[], totalApproxBytes}
+//   hello             {}                               -> this build's fingerprint
+//   shutdownWorker    {}                               -> {shutdown} (the frame
+//                                                         loop then stops)
+//
+// Every response starts with its "status" key ("ok" or "error"), so a
+// layer that forwards a reply as bytes reads its outcome from the first
+// key (server::ReplyIsOk) instead of parsing it.
 //
 // exportSession serializes the session (configuration, source, arrays and
 // the complete simulation state) into a base64 blob via the snapshot
@@ -45,7 +52,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,6 +61,7 @@
 #include "core/simulation.h"
 #include "json/json.h"
 #include "server/state_renderer.h"
+#include "server/wire.h"
 #include "snapshot/session.h"
 
 namespace rvss::server {
@@ -105,13 +112,12 @@ void AddErrorDetail(json::Json& response, const std::string& key,
 std::string ErrorMessage(const json::Json& response,
                          std::string_view fallback);
 
-/// Byte-level request pipeline shared by SimServer and the shard router:
-/// parses `requestBytes`, dispatches through `handler`, serializes and
-/// optionally compresses the response, filling `timing` when provided.
-std::string HandleRawVia(
-    const std::function<json::Json(const json::Json&)>& handler,
-    std::string_view requestBytes, bool compress = false,
-    RequestTiming* timing = nullptr);
+/// Refuses a request with a top-level number that an int64 cannot hold.
+/// Every top-level number in this API is an integer field (sessionId,
+/// count, cycle, maxCycles, instructions, optLevel, worker), so the check
+/// runs once per request, before any field is read: kInvalidArgument,
+/// naming the field.
+Status CheckIntegerFields(const json::Json& request);
 
 class SimServer {
  public:
@@ -144,6 +150,17 @@ class SimServer {
   std::string HandleRaw(std::string_view requestBytes, bool compress = false,
                         RequestTiming* timing = nullptr);
 
+  /// Frame-level entry point, the one path behind both worker transports
+  /// (the worker frame loop and InProcessTransport): parses `text`,
+  /// reattaches a non-empty `blob` as the request's "blob", runs Handle
+  /// and returns the response as frame sections. A request that does not
+  /// parse is answered with a parse-error envelope.
+  Reply HandleFrame(std::string_view text, std::string blob);
+
+  /// True once a shutdownWorker request was answered: the frame loop
+  /// serving this server stops after writing the acknowledgement.
+  bool shutdownRequested() const { return shutdownRequested_; }
+
   std::size_t sessionCount() const { return sessions_.size(); }
 
   /// Ids of all live sessions, ascending. A direct accessor for embedders
@@ -165,6 +182,7 @@ class SimServer {
   Limits limits_;
   std::map<std::int64_t, Session> sessions_;
   std::int64_t nextSessionId_ = 1;
+  bool shutdownRequested_ = false;
 };
 
 }  // namespace rvss::server

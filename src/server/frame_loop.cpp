@@ -23,44 +23,22 @@ bool ServeConnection(SimServer& server, net::Socket& connection,
     // message read only once its first bytes arrive.
     auto readable = net::WaitReadable(connection, net::kNoTimeout);
     if (!readable.ok() || !readable.value()) return false;
-    auto request = ReadMessage(connection, options);
-    if (!request.ok()) {
-      frameErrors.Increment();
-      if (request.error().kind == ErrorKind::kParse) {
-        // The frame was intact, only its JSON was malformed: the stream
-        // is still at a frame boundary, so answer with an error.
-        if (WriteMessage(connection, MakeErrorResponse(request.error()),
-                         options)
-                .ok()) {
-          continue;
-        }
-      }
+    auto frame = ReadFrame(connection, options);
+    if (!frame.ok()) {
       // Framing/stream-level failure: we may be mid-frame, so the byte
-      // stream can no longer be trusted — drop the connection.
+      // stream can no longer be trusted — drop the connection. (Malformed
+      // JSON inside an intact frame is HandleFrame's to answer.)
+      frameErrors.Increment();
       return false;
     }
-    const std::string command = request.value().GetString("command", "");
-    const bool shutdown = command == "shutdownWorker";
-    json::Json response;
-    if (shutdown) {
-      response = json::Json::MakeObject();
-      response.Set("status", "ok");
-      response.Set("shutdown", true);
-    } else if (command == "hello") {
-      // Connect-time handshake, answered out-of-band like shutdownWorker:
-      // the router compares this fingerprint (frame version, snapshot
-      // format version, config hash) against its own build and drops the
-      // connection on mismatch — version skew surfaces here, not as a
-      // decode error mid-migration.
-      response = MakeHelloResponse();
-    } else {
-      response = server.Handle(request.value());
-    }
-    if (!WriteMessage(connection, std::move(response), options).ok()) {
-      return shutdown;  // peer vanished; nothing left to tell it
+    const Reply reply = server.HandleFrame(frame.value().text,
+                                           std::move(frame.value().blob));
+    if (!WriteFrame(connection, reply.text, reply.blob, options).ok()) {
+      // Peer vanished; nothing left to tell it.
+      return server.shutdownRequested();
     }
     framesServed.Increment();
-    if (shutdown) return true;
+    if (server.shutdownRequested()) return true;
   }
 }
 

@@ -2,14 +2,14 @@
 //
 // ServeFrames accepts one connection at a time on `listener` (the router
 // holds exactly one connection per worker, so concurrency lives in the
-// fleet, not in the worker) and answers server/wire.h messages with
-// SimServer::Handle until told to stop:
+// fleet, not in the worker) and answers server/wire.h frames with
+// SimServer::HandleFrame — the same function the in-process transport
+// calls — until told to stop:
 //
-//   * A malformed frame or JSON error produces an error response when the
-//     connection can still be trusted (parse error with intact framing);
-//     a framing-level failure (bad magic, over-cap length, truncated
-//     read) closes the connection and returns to accept — the peer must
-//     reconnect with a clean stream.
+//   * Malformed JSON inside an intact frame gets a parse-error response
+//     and the connection lives on; a framing-level failure (bad magic,
+//     over-cap length, truncated read) closes the connection and returns
+//     to accept — the peer must reconnect with a clean stream.
 //   * A dropped connection (router restart, transport reconnect) simply
 //     returns to accept, so the worker survives its clients.
 //   * A transient accept failure — an aborted handshake (ECONNABORTED)
@@ -19,13 +19,13 @@
 //     on). Only an unrecoverable listener error (EBADF, EINVAL) ends
 //     the loop with its error: losing one connection attempt must never
 //     cost the worker — and every session it holds — its life.
-//   * The out-of-band command {"command": "shutdownWorker"} is handled by
-//     the loop itself, not the SimServer: it acknowledges with
-//     {"status": "ok"} and returns, giving removeWorker and CLI teardown
-//     a graceful exit that still flushes the response.
-//   * {"command": "hello"} is likewise answered by the loop with this
-//     build's fingerprint (server/wire.h) — the connect-time handshake a
-//     router uses to refuse version-skewed workers.
+//   * {"command": "shutdownWorker"} is acknowledged with {"status": "ok",
+//     "shutdown": true}, after which the loop returns, giving
+//     removeWorker and CLI teardown a graceful exit that still flushes
+//     the response.
+//   * {"command": "hello"} is answered with this build's fingerprint
+//     (server/wire.h) — the connect-time handshake a router uses to
+//     refuse version-skewed workers.
 #pragma once
 
 #include "common/socket.h"

@@ -11,24 +11,74 @@
 namespace rvss::server {
 namespace {
 
-/// Moves a non-empty top-level "blob" string out of `message`. An empty
-/// or absent blob stays in the JSON (blobBytes == 0 on the wire means
-/// "nothing detached", so empty-but-present must not take this path).
-std::string DetachBlob(json::Json& message) {
-  if (!message.IsObject()) return {};
-  json::Object& object = message.AsObject();
-  for (auto it = object.begin(); it != object.end(); ++it) {
-    if (it->first == "blob" && it->second.IsString() &&
-        !it->second.AsString().empty()) {
-      std::string blob = std::move(it->second.AsString());
-      object.erase(it);
-      return blob;
-    }
-  }
-  return {};
+/// Whether `key: value` is the blob a frame ships in its binary section:
+/// a non-empty top-level "blob" string. An empty or absent blob stays in
+/// the JSON (blobBytes == 0 on the wire means "nothing detached", so
+/// empty-but-present must not take this path).
+bool IsDetachedBlob(const std::string& key, const json::Json& value) {
+  return key == "blob" && value.IsString() && !value.AsString().empty();
 }
 
 }  // namespace
+
+Reply ToReply(json::Json message) {
+  Reply reply;
+  if (message.IsObject()) {
+    json::Object& object = message.AsObject();
+    for (auto it = object.begin(); it != object.end(); ++it) {
+      if (IsDetachedBlob(it->first, it->second)) {
+        reply.blob = std::move(it->second.AsString());
+        object.erase(it);
+        break;
+      }
+    }
+  }
+  reply.text = message.Dump();
+  return reply;
+}
+
+Result<json::Json> ParseReply(Reply reply) {
+  RVSS_ASSIGN_OR_RETURN(json::Json message, json::Parse(reply.text));
+  if (!reply.blob.empty()) message.Set("blob", std::move(reply.blob));
+  return message;
+}
+
+std::string JoinReply(Reply reply) {
+  // Every reply is an object that starts with "status", so the blob goes
+  // in before the closing brace; a malformed text is passed on as is.
+  if (reply.blob.empty() || reply.text.size() < 2 ||
+      reply.text.back() != '}') {
+    return std::move(reply.text);
+  }
+  reply.text.pop_back();
+  reply.text += ",\"blob\":\"";
+  json::EscapeStringInto(reply.blob, reply.text);
+  reply.text += "\"}";
+  return std::move(reply.text);
+}
+
+bool ReplyIsOk(std::string_view text) {
+  constexpr std::string_view kOk = "{\"status\":\"ok\"";
+  return text.starts_with(kOk) && text.size() > kOk.size() &&
+         (text[kOk.size()] == ',' || text[kOk.size()] == '}');
+}
+
+std::string DumpWithoutBlob(const json::Json& message,
+                            std::string_view* blob) {
+  *blob = {};
+  if (!message.IsObject() || message.Find("blob") == nullptr) {
+    return message.Dump();
+  }
+  json::Json trimmed = json::Json::MakeObject();
+  for (const auto& [key, value] : message.AsObject()) {
+    if (IsDetachedBlob(key, value)) {
+      *blob = value.AsString();
+    } else {
+      trimmed.Set(key, value);
+    }
+  }
+  return trimmed.Dump();
+}
 
 Status WriteFrame(net::Socket& socket, std::string_view jsonText,
                   std::string_view blob, const WireOptions& options) {
@@ -61,12 +111,11 @@ Status WriteFrame(net::Socket& socket, std::string_view jsonText,
 
 Status WriteMessage(net::Socket& socket, json::Json message,
                     const WireOptions& options) {
-  const std::string blob = DetachBlob(message);
-  return WriteFrame(socket, message.Dump(), blob, options);
+  const Reply reply = ToReply(std::move(message));
+  return WriteFrame(socket, reply.text, reply.blob, options);
 }
 
-Result<json::Json> ReadMessage(net::Socket& socket,
-                               const WireOptions& options) {
+Result<Reply> ReadFrame(net::Socket& socket, const WireOptions& options) {
   const net::Deadline deadline(options.ioTimeoutMs);
   char headerBytes[net::kFrameHeaderBytes];
   RVSS_RETURN_IF_ERROR(net::RecvAll(socket, headerBytes,
@@ -77,25 +126,29 @@ Result<json::Json> ReadMessage(net::Socket& socket,
       net::DecodeFrameHeader(
           std::string_view(headerBytes, net::kFrameHeaderBytes),
           options.maxFrameBytes));
-
-  // Consume the whole declared frame before parsing: a JSON error must
-  // leave the stream positioned at the next frame boundary, so the
+  // The whole declared frame is consumed before anyone parses it: a JSON
+  // error must leave the stream at the next frame boundary, so the
   // connection stays usable for an error response.
-  std::string text(header.jsonBytes, '\0');
+  Reply frame;
+  frame.text.resize(header.jsonBytes);
   if (header.jsonBytes > 0) {
-    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, text.data(), text.size(),
+    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, frame.text.data(),
+                                      frame.text.size(),
                                       deadline.RemainingMs()));
   }
-  std::string blob(header.blobBytes, '\0');
+  frame.blob.resize(header.blobBytes);
   if (header.blobBytes > 0) {
-    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, blob.data(), blob.size(),
+    RVSS_RETURN_IF_ERROR(net::RecvAll(socket, frame.blob.data(),
+                                      frame.blob.size(),
                                       deadline.RemainingMs()));
   }
-  RVSS_ASSIGN_OR_RETURN(json::Json message, json::Parse(text));
-  if (!blob.empty()) {
-    message.Set("blob", std::move(blob));
-  }
-  return message;
+  return frame;
+}
+
+Result<json::Json> ReadMessage(net::Socket& socket,
+                               const WireOptions& options) {
+  RVSS_ASSIGN_OR_RETURN(Reply frame, ReadFrame(socket, options));
+  return ParseReply(std::move(frame));
 }
 
 namespace {

@@ -35,6 +35,44 @@ struct WireOptions {
   std::size_t maxFrameBytes = net::kDefaultMaxFrameBytes;
 };
 
+/// One message as its frame's two sections: the JSON text, and the
+/// detached blob (empty when the message carried none). A reply to a
+/// session command travels from the worker that rendered it to the
+/// client socket in this form — the transport reads the sections, the
+/// router forwards them, the gateway writes them behind a new header —
+/// and is never re-parsed or re-dumped on the way. A layer that needs a
+/// field of a reply parses that reply itself (ParseReply); one that needs
+/// only its status reads the first key (ReplyIsOk), because every
+/// response starts with "status" (docs/api.md).
+struct Reply {
+  std::string text;
+  std::string blob;
+};
+
+/// Splits `message` into frame sections: a non-empty top-level "blob"
+/// string is moved into the blob section, the rest is dumped as text.
+/// The one way a layer turns its own document into a Reply.
+Reply ToReply(json::Json message);
+
+/// Reassembles the document a Reply carries: parses the text and
+/// reattaches a non-empty blob as the last key.
+Result<json::Json> ParseReply(Reply reply);
+
+/// The reply as one JSON document: the text with a non-empty blob put
+/// back as its last key — the bytes Dump() of ParseReply would give,
+/// without parsing.
+std::string JoinReply(Reply reply);
+
+/// True when the reply text starts {"status":"ok" — read without parsing.
+/// Every response puts "status" first, so an error or a malformed reply
+/// reads false.
+bool ReplyIsOk(std::string_view text);
+
+/// The text section of `message` with a non-empty top-level "blob" string
+/// left out; `*blob` then views that string inside `message` (empty when
+/// there is none). Lets a sender ship a multi-MiB blob without copying it.
+std::string DumpWithoutBlob(const json::Json& message, std::string_view* blob);
+
 /// Writes one frame from pre-split sections. The zero-copy primitive:
 /// both sections are borrowed views, nothing is re-serialized — callers
 /// that resend (the transport's write retry) pay the serialization once.
@@ -46,6 +84,9 @@ Status WriteFrame(net::Socket& socket, std::string_view jsonText,
 /// into the binary section instead of copied.
 Status WriteMessage(net::Socket& socket, json::Json message,
                     const WireOptions& options);
+
+/// Reads one frame's sections, unparsed.
+Result<Reply> ReadFrame(net::Socket& socket, const WireOptions& options);
 
 /// Reads one frame and reassembles the message (reattaching the blob).
 Result<json::Json> ReadMessage(net::Socket& socket,

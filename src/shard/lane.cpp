@@ -67,14 +67,14 @@ Result<WorkerLane::HeldTurn> WorkerLane::Await(Turn turn) {
   return HeldTurn(this);
 }
 
-Result<json::Json> WorkerLane::HeldTurn::Call(const json::Json& request) {
+Result<server::Reply> WorkerLane::HeldTurn::Call(const json::Json& request) {
   obs::Registry& registry = obs::Registry::Instance();
   static obs::Histogram& dispatchUs =
       registry.GetHistogram("shard.lane.dispatchUs");
   static obs::Counter& requests = registry.GetCounter("shard.lane.requests");
 
   const std::uint64_t startNs = obs::MonotonicNowNs();
-  Result<json::Json> response = lane_->transport_->Call(request);
+  Result<server::Reply> response = lane_->transport_->Call(request);
   const std::uint64_t elapsedNs = obs::MonotonicNowNs() - startNs;
   dispatchUs.Record(elapsedNs / 1000);
   requests.Increment();
@@ -92,7 +92,7 @@ void WorkerLane::PassTurn() {
   turnPassed_.NotifyAll();
 }
 
-Result<json::Json> WorkerLane::Call(const json::Json& request) {
+Result<server::Reply> WorkerLane::Call(const json::Json& request) {
   Result<Turn> turn = TakeTurn();
   if (!turn.ok()) return turn.error();
   Result<HeldTurn> held = Await(turn.value());

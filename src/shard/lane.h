@@ -65,7 +65,7 @@ class WorkerLane {
   Result<HeldTurn> Await(Turn turn) EXCLUDES(mutex_);
 
   /// TakeTurn, Await, one call, pass the turn on.
-  Result<json::Json> Call(const json::Json& request) EXCLUDES(mutex_);
+  Result<server::Reply> Call(const json::Json& request) EXCLUDES(mutex_);
 
   /// Answers every waiting and later caller with an error. A turn
   /// already held keeps running its calls. Idempotent.
@@ -117,10 +117,10 @@ class WorkerLane::HeldTurn {
   }
 
   /// Runs the transport call. The result is exactly what the transport's
-  /// Call returned: a response document, or an Error for a
-  /// transport-level failure (a worker's own {status: "error"} answer is
-  /// a successful call).
-  Result<json::Json> Call(const json::Json& request);
+  /// Call returned: the reply's bytes, or an Error for a transport-level
+  /// failure (a worker's own {status: "error"} answer is a successful
+  /// call).
+  Result<server::Reply> Call(const json::Json& request);
 
  private:
   friend class WorkerLane;

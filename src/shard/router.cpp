@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -45,10 +46,28 @@ json::Json Command(const char* name) {
   return request;
 }
 
-/// A worker's answer, or the envelope for a call that got none.
-json::Json ToResponse(Result<json::Json> result) {
-  return result.ok() ? std::move(result).value()
-                     : server::MakeErrorResponse(result.error());
+/// The error envelope for `error`, as reply bytes.
+server::Reply ErrorReply(const Error& error) {
+  return server::ToReply(server::MakeErrorResponse(error));
+}
+
+/// A worker's reply as bytes to forward, or the envelope for a call that
+/// got none.
+server::Reply ToReply(Result<server::Reply> result) {
+  return result.ok() ? std::move(result).value() : ErrorReply(result.error());
+}
+
+/// A worker's reply parsed for the fields a router operation needs, or
+/// the envelope for a call that got none (or a reply that did not parse).
+json::Json ToResponse(Result<server::Reply> result) {
+  if (!result.ok()) return server::MakeErrorResponse(result.error());
+  auto parsed = server::ParseReply(std::move(result).value());
+  if (!parsed.ok()) {
+    return RouterError(ErrorKind::kInternal,
+                       "worker reply does not parse: " +
+                           parsed.error().message);
+  }
+  return std::move(parsed).value();
 }
 
 }  // namespace
@@ -104,15 +123,15 @@ server::SimServer* ShardRouter::workerServer(std::size_t index) {
 }
 
 json::Json ShardRouter::Handle(const json::Json& request) {
-  return Dispatch(request);
+  return ToResponse(Serve(request));
 }
 
-std::string ShardRouter::HandleRaw(std::string_view requestBytes,
-                                   bool compress,
-                                   server::RequestTiming* timing) {
-  return server::HandleRawVia(
-      [this](const json::Json& request) { return Dispatch(request); },
-      requestBytes, compress, timing);
+std::string ShardRouter::HandleRaw(std::string_view requestBytes) {
+  auto request = json::Parse(requestBytes);
+  if (!request.ok()) {
+    return server::JoinReply(ErrorReply(request.error()));
+  }
+  return server::JoinReply(Serve(request.value()));
 }
 
 Result<WorkerLane::HeldTurn> ShardRouter::LaneTurn::Await() const {
@@ -120,7 +139,8 @@ Result<WorkerLane::HeldTurn> ShardRouter::LaneTurn::Await() const {
   return lane->Await(turn.value());
 }
 
-Result<json::Json> ShardRouter::LaneTurn::Run(const json::Json& request) const {
+Result<server::Reply> ShardRouter::LaneTurn::Run(
+    const json::Json& request) const {
   Result<WorkerLane::HeldTurn> held = Await();
   if (!held.ok()) return held.error();
   return held.value().Call(request);
@@ -130,10 +150,10 @@ ShardRouter::LaneTurn ShardRouter::TakeTurn(std::size_t worker) {
   return LaneTurn{lanes_[worker], lanes_[worker]->TakeTurn()};
 }
 
-std::vector<Result<json::Json>> ShardRouter::FanOut(
-    const std::vector<LaneTurn>& turns, const json::Json& request) {
-  std::vector<Result<json::Json>> results(
-      turns.size(), Error{ErrorKind::kUnavailable, "not called"});
+std::vector<json::Json> ShardRouter::FanOut(const std::vector<LaneTurn>& turns,
+                                            const json::Json& request) {
+  std::vector<json::Json> results(
+      turns.size(), RouterError(ErrorKind::kUnavailable, "not called"));
   // One thread per turn: every call is in flight before any is awaited,
   // so dead workers' transport timeouts overlap instead of adding up.
   // Each thread writes only its own slot. A turn whose thread cannot
@@ -144,10 +164,10 @@ std::vector<Result<json::Json>> ShardRouter::FanOut(
     if (turns[i].lane == nullptr) continue;
     try {
       threads.emplace_back([&turns, &results, &request, i] {
-        results[i] = turns[i].Run(request);
+        results[i] = ToResponse(turns[i].Run(request));
       });
     } catch (const std::system_error&) {
-      results[i] = turns[i].Run(request);
+      results[i] = ToResponse(turns[i].Run(request));
     }
   }
   for (std::thread& thread : threads) thread.join();
@@ -185,7 +205,7 @@ ShardRouter::LaneTurn ShardRouter::TakeOwnerTurn(std::int64_t worker,
   return turn;
 }
 
-json::Json ShardRouter::Dispatch(const json::Json& request) {
+server::Reply ShardRouter::Serve(const json::Json& request) {
   const std::string command = request.GetString("command", "");
   obs::Registry& registry = obs::Registry::Instance();
   static obs::Counter& requests =
@@ -201,6 +221,25 @@ json::Json ShardRouter::Dispatch(const json::Json& request) {
   }
   obs::ScopedLatency timer(handleUs);
 
+  // Checked before a sessionId is read for routing, so an id no int64
+  // holds is refused by name instead of routed saturated.
+  if (Status fits = server::CheckIntegerFields(request); !fits.ok()) {
+    return ErrorReply(fits.error());
+  }
+  // The router's own answers are small documents it composes; every
+  // other reply — a session command's rendered state among them — is
+  // forwarded as the bytes the worker serialized.
+  if (std::optional<json::Json> own = RouterCommand(command, request)) {
+    return server::ToReply(std::move(*own));
+  }
+  if (request.Find("sessionId") != nullptr) {
+    return RouteSessionCommand(request);
+  }
+  return StatelessCommand(request);
+}
+
+std::optional<json::Json> ShardRouter::RouterCommand(
+    const std::string& command, const json::Json& request) {
   if (command == "hello") {
     // The router's own fingerprint: lets a client (or an operator's curl)
     // verify build compatibility without reaching into the fleet.
@@ -226,13 +265,10 @@ json::Json ShardRouter::Dispatch(const json::Json& request) {
                        "shutdownWorker is not a router command; use "
                        "removeWorker {worker}");
   }
-  if (request.Find("sessionId") != nullptr) {
-    return RouteSessionCommand(request);
-  }
-  return StatelessCommand(request);
+  return std::nullopt;
 }
 
-json::Json ShardRouter::StatelessCommand(const json::Json& request) {
+server::Reply ShardRouter::StatelessCommand(const json::Json& request) {
   // Stateless commands (compile, parseAsm, checkConfig) and unknown
   // commands need no placement; any live worker gives the right answer —
   // and they are side-effect-free, so a worker whose process is dead is
@@ -248,8 +284,8 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
       }
     }
   }
-  json::Json lastError = RouterError(ErrorKind::kUnavailable,
-                                     "every worker has been removed");
+  server::Reply lastError = ErrorReply(
+      Error{ErrorKind::kUnavailable, "every worker has been removed"});
   for (const std::size_t worker : order) {
     LaneTurn turn;
     {
@@ -259,7 +295,7 @@ json::Json ShardRouter::StatelessCommand(const json::Json& request) {
     }
     auto response = turn.Run(request);
     if (response.ok()) return std::move(response).value();
-    lastError = server::MakeErrorResponse(response.error());
+    lastError = ErrorReply(response.error());
   }
   return lastError;
 }
@@ -317,7 +353,7 @@ json::Json ShardRouter::AdmitSession(const json::Json& request) {
   return response;
 }
 
-json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
+server::Reply ShardRouter::RouteSessionCommand(const json::Json& request) {
   const std::int64_t globalId = request.GetInt("sessionId", -1);
   const bool isDelete = request.GetString("command", "") == "deleteSession";
   while (true) {
@@ -333,18 +369,19 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
       MutexLock lock(fleetMutex_);
       auto it = placements_.find(globalId);
       if (it == placements_.end()) {
-        return RouterError(ErrorKind::kInvalidArgument,
-                           "unknown sessionId " + std::to_string(globalId));
+        return ErrorReply(Error{ErrorKind::kInvalidArgument,
+                                "unknown sessionId " +
+                                    std::to_string(globalId)});
       }
       placement = it->second;
       if (!IsLive(placement.worker)) {
-        return RouterError(ErrorKind::kUnavailable,
-                           "worker " + std::to_string(placement.worker) +
-                               " was removed");
+        return ErrorReply(Error{ErrorKind::kUnavailable,
+                                "worker " + std::to_string(placement.worker) +
+                                    " was removed"});
       }
       turn = TakeTurn(placement.worker);
     }
-    if (!turn.turn.ok()) return server::MakeErrorResponse(turn.turn.error());
+    if (!turn.turn.ok()) return ErrorReply(turn.turn.error());
     // A lane stopped while we waited belongs to a removed worker: the
     // session moved off it (or was lost); re-resolve.
     Result<WorkerLane::HeldTurn> held = turn.Await();
@@ -363,10 +400,10 @@ json::Json ShardRouter::RouteSessionCommand(const json::Json& request) {
     }
     json::Json forwarded = request;
     forwarded.Set("sessionId", placement.localId);
-    auto result = held.value().Call(forwarded);
-    if (!result.ok()) return server::MakeErrorResponse(result.error());
-    json::Json response = std::move(result).value();
-    if (isDelete && IsOk(response)) {
+    // The reply goes up as the worker serialized it: a delete needs only
+    // its status, which leads every response.
+    server::Reply response = ToReply(held.value().Call(forwarded));
+    if (isDelete && server::ReplyIsOk(response.text)) {
       // Erased before the turn is passed on, so whoever holds the worker
       // next reads a placement map without the deleted session.
       MutexLock lock(fleetMutex_);
@@ -405,8 +442,7 @@ json::Json ShardRouter::ListSessions() {
     placements = placements_;
     turns = TakeFleetTurns();
   }
-  std::vector<Result<json::Json>> listed =
-      FanOut(turns, Command("listSessions"));
+  std::vector<json::Json> listed = FanOut(turns, Command("listSessions"));
   json::Json response = Ok();
   json::Json list = json::Json::MakeArray();
   json::Json unreachable = json::Json::MakeArray();
@@ -418,7 +454,7 @@ json::Json ShardRouter::ListSessions() {
       perWorker.push_back(json::Json::MakeObject());
       continue;
     }
-    perWorker.push_back(ToResponse(std::move(listed[i])));
+    perWorker.push_back(std::move(listed[i]));
     // A live slot whose process is dead cannot enumerate its sessions;
     // flag it so the omissions below read as "unreachable", not
     // "deleted" — the sessions still exist and still route (to errors).
@@ -448,19 +484,18 @@ json::Json ShardRouter::ListSessions() {
 }
 
 Result<ShardRouter::WorkerLoad> ShardRouter::ParseLoad(
-    Result<json::Json> response) {
-  if (!response.ok()) return response.error();
-  if (!IsOk(response.value())) {
+    const json::Json& response) {
+  if (!IsOk(response)) {
     return Error{ErrorKind::kInternal,
-                 server::ErrorMessage(response.value(), "listSessions failed")};
+                 server::ErrorMessage(response, "listSessions failed")};
   }
   WorkerLoad load;
-  const json::Json* sessions = response.value().Find("sessions");
+  const json::Json* sessions = response.Find("sessions");
   if (sessions != nullptr && sessions->IsArray()) {
     load.sessions = sessions->AsArray().size();
   }
-  load.approxBytes = static_cast<std::uint64_t>(
-      response.value().GetInt("totalApproxBytes", 0));
+  load.approxBytes =
+      static_cast<std::uint64_t>(response.GetInt("totalApproxBytes", 0));
   return load;
 }
 
@@ -479,14 +514,14 @@ ShardRouter::FleetLoads ShardRouter::ProbeLoads(std::size_t skip) {
     MutexLock lock(fleetMutex_);
     turns = TakeFleetTurns(skip);
   }
-  std::vector<Result<json::Json>> listed =
+  const std::vector<json::Json> listed =
       FanOut(turns, Command("listSessions"));
   FleetLoads loads;
   loads.bytes.assign(turns.size(), 0);
   loads.reachable.assign(turns.size(), false);
   for (std::size_t i = 0; i < turns.size(); ++i) {
     if (turns[i].lane == nullptr) continue;
-    auto load = ParseLoad(std::move(listed[i]));
+    auto load = ParseLoad(listed[i]);
     if (!load.ok()) continue;
     loads.bytes[i] = load.value().approxBytes;
     loads.reachable[i] = true;
@@ -530,7 +565,7 @@ json::Json ShardRouter::WorkerStats() {
     }
     turns = TakeFleetTurns();
   }
-  std::vector<Result<json::Json>> listed =
+  const std::vector<json::Json> listed =
       FanOut(turns, Command("listSessions"));
   json::Json response = Ok();
   json::Json list = json::Json::MakeArray();
@@ -553,7 +588,7 @@ json::Json ShardRouter::WorkerStats() {
               static_cast<std::int64_t>(slots[i].lane.queueDepth));
     entry.Set("inFlight", slots[i].lane.inFlight);
     entry.Set("lastDispatchMs", slots[i].lane.lastDispatchMs);
-    auto load = ParseLoad(std::move(listed[i]));
+    auto load = ParseLoad(listed[i]);
     if (load.ok()) {
       entry.Set("sessions", static_cast<std::int64_t>(load.value().sessions));
       entry.Set("approxBytes",
@@ -602,7 +637,7 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
       }
     }
   }
-  std::vector<Result<json::Json>> answers = FanOut(turns, Command("metrics"));
+  std::vector<json::Json> answers = FanOut(turns, Command("metrics"));
 
   json::Json workerList = json::Json::MakeArray();
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -620,7 +655,7 @@ json::Json ShardRouter::Metrics(const json::Json& request) {
       workerList.Append(std::move(entry));
       continue;
     }
-    json::Json answer = ToResponse(std::move(answers[i]));
+    json::Json& answer = answers[i];
     json::Json* metrics = answer.Find("metrics");
     if (!IsOk(answer) || metrics == nullptr) {
       entry.Set("unreachable", true);
@@ -659,8 +694,7 @@ json::Json ShardRouter::TraceDump() {
       turns[i] = TakeTurn(i);
     }
   }
-  std::vector<Result<json::Json>> answers =
-      FanOut(turns, Command("traceDump"));
+  std::vector<json::Json> answers = FanOut(turns, Command("traceDump"));
 
   json::Json workerList = json::Json::MakeArray();
   for (std::size_t i = 0; i < turns.size(); ++i) {
@@ -668,7 +702,7 @@ json::Json ShardRouter::TraceDump() {
     json::Json entry = json::Json::MakeObject();
     entry.Set("worker", static_cast<std::int64_t>(i));
     entry.Set("transport", transports[i]);
-    json::Json answer = ToResponse(std::move(answers[i]));
+    json::Json& answer = answers[i];
     json::Json* trace = answer.Find("trace");
     if (!IsOk(answer) || trace == nullptr) {
       entry.Set("unreachable", true);
@@ -712,9 +746,9 @@ Status ShardRouter::MoveSession(std::int64_t globalId,
     exportRequest.Set("command", "exportSession");
     exportRequest.Set("sessionId", source.localId);
     if (delta) exportRequest.Set("encoding", "delta");
-    return ToResponse(sourceTurn.Call(exportRequest));
+    return ToReply(sourceTurn.Call(exportRequest));
   };
-  auto exportFailed = [&](const json::Json& exported) {
+  auto exportFailed = [&](const server::Reply& exported) {
     // The session vanished from its worker (deleted behind the router's
     // back, export failed, or the worker process is dead). Nothing
     // moved; surface the worker's error.
@@ -722,32 +756,25 @@ Status ShardRouter::MoveSession(std::int64_t globalId,
         ErrorKind::kInternal,
         "export of session " + std::to_string(globalId) + " from worker " +
             std::to_string(source.worker) + " failed: " +
-            server::ErrorMessage(exported, "unknown error"));
+            server::ErrorMessage(ToResponse(exported), "unknown error"));
   };
-  // Session blobs can be tens of MiB of base64; read by reference and
-  // copy exactly once (into the import request). The import rides the
+  // Session blobs can be tens of MiB of base64. The export reply carries
+  // its blob detached, in the frame's binary section; it moves into the
+  // import request unparsed and uncopied. The import rides the
   // destination's lane so it cannot interleave with a response already
   // executing there — ordering on the destination is preserved exactly
   // as for client traffic.
-  auto blobSizeOf = [](const json::Json& exported) -> std::uint64_t {
-    const json::Json* blob = exported.Find("blob");
-    return blob != nullptr && blob->IsString() ? blob->AsString().size() : 0;
-  };
-  auto importFrom = [&](const json::Json& exported) {
-    static const std::string kNoBlob;
-    const json::Json* blob = exported.Find("blob");
-    const std::string& blobBytes =
-        blob != nullptr && blob->IsString() ? blob->AsString() : kNoBlob;
+  auto importFrom = [&](std::string blob) {
     json::Json importRequest = json::Json::MakeObject();
     importRequest.Set("command", "importSession");
-    importRequest.Set("blob", blobBytes);
+    importRequest.Set("blob", std::move(blob));
     return CallViaLane(destination, importRequest);
   };
 
-  json::Json exported = exportFrom(deltaExport);
-  if (!IsOk(exported)) return exportFailed(exported);
-  std::uint64_t wireBytes = blobSizeOf(exported);
-  json::Json imported = importFrom(exported);
+  server::Reply exported = exportFrom(deltaExport);
+  if (!server::ReplyIsOk(exported.text)) return exportFailed(exported);
+  std::uint64_t wireBytes = exported.blob.size();
+  json::Json imported = importFrom(std::move(exported.blob));
   if (!IsOk(imported) && deltaExport) {
     // Fail closed, not lossy: ANY delta import failure — base-epoch
     // mismatch, decode error, a peer that lied about its capability —
@@ -757,9 +784,9 @@ Status ShardRouter::MoveSession(std::int64_t globalId,
         "shard.router.deltaFallbacks");
     fallbacks.Increment();
     exported = exportFrom(false);
-    if (!IsOk(exported)) return exportFailed(exported);
-    wireBytes += blobSizeOf(exported);
-    imported = importFrom(exported);
+    if (!server::ReplyIsOk(exported.text)) return exportFailed(exported);
+    wireBytes += exported.blob.size();
+    imported = importFrom(std::move(exported.blob));
   }
   if (!IsOk(imported)) {
     // Destination refused (blob budget, decode failure) or is
@@ -901,16 +928,13 @@ json::Json ShardRouter::DrainWorker(const json::Json& request) {
       AwaitQuiesced(*owner.lane, owner.turn.value(), index);
   if (!held.ok()) return server::MakeErrorResponse(held.error());
 
-  json::Json response = json::Json::MakeObject();
+  json::Json response = Ok();
   const std::vector<std::int64_t> failedIds =
       DrainSessions(index, held.value(), response);
   span.SetDetail(StrFormat("worker=%zu moved=%lld failed=%zu", index,
                            static_cast<long long>(response.GetInt("moved", 0)),
                            failedIds.size()));
-  if (failedIds.empty()) {
-    response.Set("status", "ok");
-    return response;
-  }
+  if (failedIds.empty()) return response;
   // Error envelope with the drain tallies carried in its details.
   json::Json error = server::MakeErrorResponse(Error{
       ErrorKind::kInternal,
@@ -1006,7 +1030,7 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       AwaitQuiesced(lane, owner.turn.value(), index);
   if (!held.ok()) return server::MakeErrorResponse(held.error());
 
-  json::Json response = json::Json::MakeObject();
+  json::Json response = Ok();
   bool sourceReachable = true;
   const std::vector<std::int64_t> failedIds =
       DrainSessions(index, held.value(), response, &sourceReachable);
@@ -1065,7 +1089,6 @@ json::Json ShardRouter::RemoveWorker(const json::Json& request) {
       options_.onWorkerShutdown(address);
     }
   }
-  response.Set("status", "ok");
   response.Set("removed", true);
   response.Set("lost", std::move(lost));
   return response;

@@ -6,7 +6,12 @@
 // (clients cannot tell the difference): it assigns globally unique session
 // ids, places each new session on a worker via a consistent-hash ring,
 // rewrites sessionId fields on the way in and out, and forwards everything
-// else verbatim. On top of the route-through it adds fleet operations:
+// else verbatim. A session command's reply is forwarded as the bytes the
+// worker serialized (server::Reply), never parsed here — a delete reads
+// only its status, which leads every response. The router parses a reply
+// only where it needs its fields: admissions (it rewrites sessionId and
+// adds worker), fleet operations and the fan-out merges. On top of the
+// route-through it adds fleet operations:
 //
 //   workerStats  {}          -> {workers: [{worker, sessions, approxBytes,
 //                                           drained, removed, transport}]}
@@ -42,8 +47,8 @@
 // Concurrency model (see shard/lane.h and docs/sharding.md):
 //
 //   * Every worker has a dispatch lane — FIFO turns over its one
-//     transport connection, with no thread of its own. Handle()/
-//     HandleRaw() are thread-safe: a session-bound command takes a turn
+//     transport connection, with no thread of its own. Serve(), Handle()
+//     and HandleRaw() are thread-safe: a session-bound command takes a turn
 //     on the owning worker's lane under the fleet mutex, then waits for
 //     the turn and runs the worker call on the calling thread with the
 //     mutex released. Calls run concurrently *across* lanes, strictly in
@@ -109,6 +114,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -169,14 +175,19 @@ class ShardRouter {
 
   explicit ShardRouter(const Options& options);
 
-  /// Structured entry point, same contract as SimServer::Handle.
-  /// Thread-safe; see the concurrency model above.
+  /// The entry point: one request, its reply as frame bytes — a worker's
+  /// reply exactly as the worker serialized it, or a document the router
+  /// composed. What the gateway serves. Thread-safe; see the concurrency
+  /// model above.
+  server::Reply Serve(const json::Json& request);
+
+  /// Serve with the reply parsed, same contract as SimServer::Handle —
+  /// for the CLI and tests. Thread-safe.
   json::Json Handle(const json::Json& request);
 
-  /// Byte-level entry point, same contract as SimServer::HandleRaw.
-  /// Thread-safe.
-  std::string HandleRaw(std::string_view requestBytes, bool compress = false,
-                        server::RequestTiming* timing = nullptr);
+  /// Byte-level entry point, same contract as SimServer::HandleRaw: the
+  /// reply text, with a blob put back into the JSON. Thread-safe.
+  std::string HandleRaw(std::string_view requestBytes);
 
   /// Fleet slots ever created (including removed ones; their entries stay
   /// so worker indices are stable).
@@ -223,10 +234,13 @@ class ShardRouter {
     /// Waits for the turn; the held turn must not outlive this LaneTurn.
     Result<WorkerLane::HeldTurn> Await() const;
     /// Waits for the turn, runs the call on this thread, passes it on.
-    Result<json::Json> Run(const json::Json& request) const;
+    Result<server::Reply> Run(const json::Json& request) const;
   };
 
-  json::Json Dispatch(const json::Json& request);
+  /// The commands the router answers itself (hello, admissions, fleet
+  /// operations); nullopt for those it forwards to a worker.
+  std::optional<json::Json> RouterCommand(const std::string& command,
+                                          const json::Json& request);
 
   // Unless a comment says otherwise the private methods below take their
   // own (brief) fleet mutex sections and must be called *without*
@@ -238,13 +252,14 @@ class ShardRouter {
   /// Takes a turn on every live lane except `skip`; slot-aligned.
   std::vector<LaneTurn> TakeFleetTurns(
       std::size_t skip = static_cast<std::size_t>(-1)) REQUIRES(fleetMutex_);
-  /// Runs `request` on every taken turn concurrently. Results are
-  /// slot-aligned; slots that took no turn hold an error.
-  static std::vector<Result<json::Json>> FanOut(
-      const std::vector<LaneTurn>& turns, const json::Json& request);
+  /// Runs `request` on every taken turn concurrently and parses each
+  /// reply. Results are slot-aligned; slots that took no turn, and calls
+  /// that failed, hold an error envelope.
+  static std::vector<json::Json> FanOut(const std::vector<LaneTurn>& turns,
+                                        const json::Json& request);
   /// One request through worker's lane: take a turn under a brief fleet
-  /// mutex section, run it unlocked. Transport failures become error
-  /// JSON.
+  /// mutex section, run it unlocked, parse the (small) reply. Transport
+  /// failures become error JSON.
   json::Json CallViaLane(std::size_t worker, const json::Json& request)
       EXCLUDES(fleetMutex_);
   /// A fleet operation's claim on worker `worker`: a turn on its lane,
@@ -255,9 +270,11 @@ class ShardRouter {
   LaneTurn TakeOwnerTurn(std::int64_t worker, bool drain)
       REQUIRES(fleetOpMutex_) EXCLUDES(fleetMutex_);
 
-  json::Json RouteSessionCommand(const json::Json& request)
+  /// Forwards a session command to its worker; the reply goes back as
+  /// the worker's bytes.
+  server::Reply RouteSessionCommand(const json::Json& request)
       EXCLUDES(fleetMutex_);
-  json::Json StatelessCommand(const json::Json& request)
+  server::Reply StatelessCommand(const json::Json& request)
       EXCLUDES(fleetMutex_);
   /// The fleet metrics view: this process's obs registry (router, lanes,
   /// transports and any in-process workers) merged with every socket
@@ -308,10 +325,10 @@ class ShardRouter {
   static std::map<std::int64_t, const json::Json*> IndexSessions(
       const json::Json& listResponse);
 
-  /// Parses one worker's listSessions response into a load summary —
-  /// the single place that knows the response shape (ProbeLoads and
+  /// Reads one worker's listSessions response as a load summary — the
+  /// single place that knows the response shape (ProbeLoads and
   /// WorkerStats both feed through it).
-  static Result<WorkerLoad> ParseLoad(Result<json::Json> response);
+  static Result<WorkerLoad> ParseLoad(const json::Json& response);
   /// Probes every live worker's load concurrently. `skip` (if valid) is
   /// reported unreachable without being probed — drain uses it for the
   /// source worker it holds and lists itself. Locks itself.

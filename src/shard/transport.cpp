@@ -82,30 +82,17 @@ Status SocketTransport::EnsureConnected() {
   return Status::Ok();
 }
 
-Result<json::Json> SocketTransport::Call(const json::Json& request) {
+Result<server::Reply> SocketTransport::Call(const json::Json& request) {
   server::WireOptions wire;
   wire.ioTimeoutMs = options_.ioTimeoutMs;
   wire.maxFrameBytes = options_.maxFrameBytes;
 
   // Split the request for the wire exactly once, before the retry loop:
-  // the non-blob fields (small) are copied into the serialized text, and
-  // the blob — multi-MiB of base64 on every drain import — stays a
-  // borrowed view on the caller's document, never copied or re-dumped.
+  // the non-blob fields (small) are serialized into the text, and the
+  // blob — multi-MiB of base64 on every drain import — stays a borrowed
+  // view on the caller's document, never copied or re-dumped.
   std::string_view blob;
-  std::string text;
-  if (request.IsObject() && request.Find("blob") != nullptr) {
-    json::Json trimmed = json::Json::MakeObject();
-    for (const auto& [key, value] : request.AsObject()) {
-      if (key == "blob" && value.IsString() && !value.AsString().empty()) {
-        blob = value.AsString();
-      } else {
-        trimmed.Set(key, value);
-      }
-    }
-    text = trimmed.Dump();
-  } else {
-    text = request.Dump();
-  }
+  const std::string text = server::DumpWithoutBlob(request, &blob);
 
   // One reconnect-and-resend attempt when the *write* fails: the worker
   // drops incomplete frames, so a request whose write failed was never
@@ -131,7 +118,9 @@ Result<json::Json> SocketTransport::Call(const json::Json& request) {
                    "send to worker " + address_ +
                        " failed: " + written.error().message};
     }
-    auto response = server::ReadMessage(connection_, wire);
+    // The reply's sections go up as read: nothing on this side of the
+    // router parses a session command's rendered state.
+    auto response = server::ReadFrame(connection_, wire);
     if (!response.ok()) {
       connection_.Close();
       // Deliberately *not* kUnavailable: the request reached the worker

@@ -2,10 +2,14 @@
 //
 // PR 3's router owned its workers as in-process SimServer objects; this
 // interface splits "where the worker lives" from "what the router does
-// with it". The router sees only Call(): one JSON request in, one JSON
-// response out. Transport-level failures (dead process, timeout, bad
-// frame) come back as errors — distinct from a worker's own JSON error
-// responses, which are successful Calls whose payload says "error".
+// with it". The router sees only Call(): one JSON request in, the
+// worker's reply out as frame bytes (server::Reply — JSON text plus the
+// detached blob), exactly as the worker serialized it. No transport
+// parses a reply; the router forwards session-command replies to its
+// caller untouched and parses only the small ones whose fields it needs.
+// Transport-level failures (dead process, timeout, bad frame) come back
+// as errors — distinct from a worker's own JSON error responses, which
+// are successful Calls whose payload says "error".
 //
 // A transport is not thread-safe and need not be: its WorkerLane
 // (shard/lane.h) owns it, and only the caller holding the lane's turn
@@ -13,9 +17,11 @@
 //
 // Two implementations:
 //
-//   InProcessTransport  wraps a SimServer in this process; Call is a
-//                       direct Handle() — the PR 3 behaviour, still the
-//                       default and the baseline bench_shard measures.
+//   InProcessTransport  wraps a SimServer in this process; Call runs
+//                       SimServer::HandleFrame, the function the worker
+//                       frame loop serves through, so both transports
+//                       share one path. The default, and the baseline
+//                       bench_shard measures.
 //   SocketTransport     speaks server/wire.h frames over a unix-domain or
 //                       TCP socket to an rvss worker process. Connects
 //                       lazily, performs the hello handshake on every
@@ -47,10 +53,11 @@ class WorkerTransport {
  public:
   virtual ~WorkerTransport() = default;
 
-  /// Dispatches one request and returns the worker's response. An error
-  /// means the transport failed — the worker may or may not have seen
-  /// the request; the caller must fail closed (report, don't assume).
-  virtual Result<json::Json> Call(const json::Json& request) = 0;
+  /// Dispatches one request and returns the worker's reply as the bytes
+  /// it serialized. An error means the transport failed — the worker may
+  /// or may not have seen the request; the caller must fail closed
+  /// (report, don't assume).
+  virtual Result<server::Reply> Call(const json::Json& request) = 0;
 
   /// True when the peer can decode base-referenced delta session blobs
   /// (snapshot format v3). Learned from the hello handshake for sockets;
@@ -67,13 +74,13 @@ class WorkerTransport {
   virtual server::SimServer* LocalServer() { return nullptr; }
 };
 
-/// PR 3's in-process worker, behind the transport interface.
+/// A worker in this process, behind the transport interface.
 class InProcessTransport : public WorkerTransport {
  public:
   explicit InProcessTransport(const server::SimServer::Limits& limits)
       : server_(std::make_unique<server::SimServer>(limits)) {}
 
-  Result<json::Json> Call(const json::Json& request) override {
+  Result<server::Reply> Call(const json::Json& request) override {
     static obs::Counter& calls =
         obs::Registry::Instance().GetCounter("shard.transport.inproc.calls");
     static obs::Histogram& callUs =
@@ -81,7 +88,9 @@ class InProcessTransport : public WorkerTransport {
             "shard.transport.inproc.callUs");
     calls.Increment();
     obs::ScopedLatency timer(callUs);
-    return server_->Handle(request);
+    std::string_view blob;
+    const std::string text = server::DumpWithoutBlob(request, &blob);
+    return server_->HandleFrame(text, std::string(blob));
   }
   bool SupportsDeltaBlobs() const override { return true; }
   std::string Describe() const override { return "in-process"; }
@@ -106,7 +115,7 @@ class SocketTransport : public WorkerTransport {
   explicit SocketTransport(std::string address,
                            SocketTransportOptions options = {});
 
-  Result<json::Json> Call(const json::Json& request) override;
+  Result<server::Reply> Call(const json::Json& request) override;
   bool SupportsDeltaBlobs() const override {
     // Set after each hello handshake; false while disconnected, which is
     // the conservative answer (a full image is always decodable).

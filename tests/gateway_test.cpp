@@ -127,7 +127,7 @@ TEST(Gateway, ConcurrentClientsMatchSingleProcessByteIdentically) {
   routerOptions.workerCount = 4;
   shard::ShardRouter router(routerOptions);
   ScopedGateway gw(
-      [&router](const json::Json& request) { return router.Handle(request); });
+      [&router](const json::Json& request) { return router.Serve(request); });
   ASSERT_NE(gw.gateway, nullptr);
 
   // The single-process reference: one session, 3 x 20 steps, stats.
@@ -187,7 +187,9 @@ TEST(Gateway, ConcurrentClientsMatchSingleProcessByteIdentically) {
 TEST(Gateway, PartialFramesFromASlowClientAreAssembled) {
   server::SimServer sim;
   ScopedGateway gw(
-      [&sim](const json::Json& request) { return sim.Handle(request); });
+      [&sim](const json::Json& request) {
+        return server::ToReply(sim.Handle(request));
+      });
   ASSERT_NE(gw.gateway, nullptr);
 
   Client client(gw.address());
@@ -212,7 +214,9 @@ TEST(Gateway, PartialFramesFromASlowClientAreAssembled) {
 TEST(Gateway, FrameGarbageClosesOnlyThatConnection) {
   server::SimServer sim;
   ScopedGateway gw(
-      [&sim](const json::Json& request) { return sim.Handle(request); });
+      [&sim](const json::Json& request) {
+        return server::ToReply(sim.Handle(request));
+      });
   ASSERT_NE(gw.gateway, nullptr);
 
   // An innocent bystander with a request already half-sent.
@@ -234,7 +238,9 @@ TEST(Gateway, FrameGarbageClosesOnlyThatConnection) {
 TEST(Gateway, BadJsonGetsAnErrorAndTheConnectionLivesOn) {
   server::SimServer sim;
   ScopedGateway gw(
-      [&sim](const json::Json& request) { return sim.Handle(request); });
+      [&sim](const json::Json& request) {
+        return server::ToReply(sim.Handle(request));
+      });
   ASSERT_NE(gw.gateway, nullptr);
 
   Client client(gw.address());
@@ -256,7 +262,9 @@ TEST(Gateway, BadJsonGetsAnErrorAndTheConnectionLivesOn) {
 TEST(Gateway, PipelinedFramesAreAnsweredInOrder) {
   server::SimServer sim;
   ScopedGateway gw(
-      [&sim](const json::Json& request) { return sim.Handle(request); });
+      [&sim](const json::Json& request) {
+        return server::ToReply(sim.Handle(request));
+      });
   ASSERT_NE(gw.gateway, nullptr);
 
   Client client(gw.address());
@@ -292,7 +300,7 @@ TEST(Gateway, SessionQuotaIsRefusedWithRetryableUnavailable) {
   gateway::GatewayOptions options;
   options.maxSessionsPerConnection = 2;
   ScopedGateway gw(
-      [&router](const json::Json& request) { return router.Handle(request); },
+      [&router](const json::Json& request) { return router.Serve(request); },
       options);
   ASSERT_NE(gw.gateway, nullptr);
 
@@ -337,7 +345,9 @@ TEST(Gateway, ConnectionCapClosesExcessConnectionsOnArrival) {
   gateway::GatewayOptions options;
   options.maxConnections = 2;
   ScopedGateway gw(
-      [&sim](const json::Json& request) { return sim.Handle(request); },
+      [&sim](const json::Json& request) {
+        return server::ToReply(sim.Handle(request));
+      },
       options);
   ASSERT_NE(gw.gateway, nullptr);
 
@@ -390,7 +400,7 @@ TEST(Gateway, DispatchQueueOverflowShedsWithUnavailable) {
         json::Json response = json::Json::MakeObject();
         response.Set("status", "ok");
         response.Set("echo", request.GetString("tag", ""));
-        return response;
+        return server::ToReply(std::move(response));
       },
       options);
   ASSERT_NE(gw.gateway, nullptr);
@@ -451,7 +461,7 @@ class BlockingTransport : public shard::WorkerTransport {
   explicit BlockingTransport(std::string blockOn)
       : blockOn_(std::move(blockOn)), inner_(server::SimServer::Limits{}) {}
 
-  Result<json::Json> Call(const json::Json& request) override {
+  Result<server::Reply> Call(const json::Json& request) override {
     const std::string command = request.GetString("command", "");
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -506,7 +516,7 @@ TEST(Gateway, StalledWorkerLaneShedsThroughTheGateway) {
   };
   shard::ShardRouter router(routerOptions);
   ScopedGateway gw(
-      [&router](const json::Json& request) { return router.Handle(request); });
+      [&router](const json::Json& request) { return router.Serve(request); });
   ASSERT_NE(gw.gateway, nullptr);
 
   Client a(gw.address());
@@ -560,7 +570,7 @@ TEST(Gateway, CreateSessionDoesNotSerializeBehindAnUnrelatedDrain) {
   };
   shard::ShardRouter router(routerOptions);
   ScopedGateway gw(
-      [&router](const json::Json& request) { return router.Handle(request); });
+      [&router](const json::Json& request) { return router.Serve(request); });
   ASSERT_NE(gw.gateway, nullptr);
 
   // Seed at least one session onto worker 0 so the drain has a move to
@@ -825,9 +835,9 @@ TEST(ServeFrames, TransientAcceptFailuresAreCountedAndRetried) {
 // ---- lane refusals are retryable kUnavailable -------------------------------
 
 /// Waits for `turn` and runs one call on it.
-Result<json::Json> CallOnTurn(shard::WorkerLane& lane,
-                              shard::WorkerLane::Turn turn,
-                              const json::Json& request) {
+Result<server::Reply> CallOnTurn(shard::WorkerLane& lane,
+                                 shard::WorkerLane::Turn turn,
+                                 const json::Json& request) {
   Result<shard::WorkerLane::HeldTurn> held = lane.Await(turn);
   if (!held.ok()) return held.error();
   return held.value().Call(request);
@@ -886,14 +896,12 @@ TEST(WorkerLane, StoppedLaneAnswersRetryableUnavailable) {
 /// ever overlapped. Yields inside each call so waiting callers pile up.
 class RecordingTransport : public shard::WorkerTransport {
  public:
-  Result<json::Json> Call(const json::Json& request) override {
+  Result<server::Reply> Call(const json::Json& request) override {
     if (inside_.fetch_add(1) != 0) overlapped_.store(true);
     order_.push_back(request.GetInt("id", -1));
     std::this_thread::yield();
     inside_.fetch_sub(1);
-    json::Json response = json::Json::MakeObject();
-    response.Set("status", "ok");
-    return response;
+    return server::Reply{"{\"status\":\"ok\"}", {}};
   }
   std::string Describe() const override { return "recording"; }
 
@@ -1065,7 +1073,7 @@ TEST(Gateway, CrashInputsGetTypedEnvelopesAndTheFleetLivesOn) {
   routerOptions.workerCount = 2;
   shard::ShardRouter router(routerOptions);
   ScopedGateway gw(
-      [&router](const json::Json& request) { return router.Handle(request); });
+      [&router](const json::Json& request) { return router.Serve(request); });
   ASSERT_NE(gw.gateway, nullptr);
 
   Client client(gw.address());
@@ -1133,6 +1141,267 @@ TEST(Gateway, CrashInputsGetTypedEnvelopesAndTheFleetLivesOn) {
       after.Call(Cmd("step", {{"sessionId", json::Json(id)},
                               {"count", json::Json(10)}}));
   EXPECT_EQ(stepped.GetString("status", ""), "ok") << stepped.Dump();
+}
+
+// ---- integer request fields beyond int64 -----------------------------------
+
+TEST(Gateway, OutOfRangeIntegerFieldsAreRefusedByName) {
+  // A double no int64 holds used to reach a bare static_cast (undefined
+  // behaviour), and `count: 1e300` answered "'count' must be
+  // non-negative". The router refuses such a sessionId before routing;
+  // the worker refuses such a count.
+  shard::ShardRouter::Options routerOptions;
+  routerOptions.workerCount = 2;
+  shard::ShardRouter router(routerOptions);
+  ScopedGateway gw(
+      [&router](const json::Json& request) { return router.Serve(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+  Client client(gw.address());
+  const json::Json created = client.Call(
+      Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}}));
+  ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+  const json::Json id = created.GetInt("sessionId", -1);
+
+  const struct {
+    json::Json request;
+    const char* field;
+  } cases[] = {
+      {Cmd("step", {{"sessionId", id}, {"count", json::Json(1e300)}}),
+       "'count'"},
+      {Cmd("step", {{"sessionId", id}, {"count", json::Json(-1e300)}}),
+       "'count'"},
+      {Cmd("step", {{"sessionId", json::Json(1e300)},
+                    {"count", json::Json(1)}}),
+       "'sessionId'"},
+  };
+  for (const auto& bad : cases) {
+    const json::Json response = client.Call(bad.request);
+    testutil::CheckErrorEnvelope(response);
+    const json::Json error = testutil::ErrorOf(response);
+    EXPECT_EQ(error.GetString("kind", ""), "invalid_argument")
+        << response.Dump();
+    EXPECT_NE(error.GetString("message", "").find(bad.field),
+              std::string::npos)
+        << response.Dump();
+  }
+}
+
+// ---- replies are forwarded as the worker's bytes ----------------------------
+
+/// The two GUI kernels of the paper's interactive load (e2ebench gui-step).
+const char* kGuiSortC = R"(
+int arr[64];
+int main() {
+  int total = 0;
+  for (int rep = 0; rep < 2000; rep++) {
+    for (int i = 0; i < 64; i++) arr[i] = (i * 37 + 11 + rep) % 101;
+    for (int i = 1; i < 64; i++) {
+      int key = arr[i];
+      int j = i - 1;
+      while (j >= 0 && arr[j] > key) { arr[j + 1] = arr[j]; j--; }
+      arr[j + 1] = key;
+    }
+    total += arr[0] + arr[63];
+  }
+  return total;
+}
+)";
+
+const char* kGuiFloatC = R"(
+float x[32]; float y[32];
+int main() {
+  int total = 0;
+  for (int rep = 0; rep < 4000; rep++) {
+    for (int i = 0; i < 32; i++) { x[i] = (float)i * 0.25f; y[i] = (float)(32 - i + rep % 3); }
+    float acc = 0.0f;
+    for (int r = 0; r < 8; r++)
+      for (int i = 0; i < 32; i++) acc += x[i] * y[i];
+    total += (int)acc;
+  }
+  return total;
+}
+)";
+
+/// One request frame out, one reply frame back, sections unparsed.
+server::Reply RawCall(net::Socket& socket, const std::string& text) {
+  const server::WireOptions wire = ClientWire();
+  Status wrote = server::WriteFrame(socket, text, {}, wire);
+  if (!wrote.ok()) {
+    ADD_FAILURE() << "write failed: " << wrote.error().ToText();
+    return {};
+  }
+  auto reply = server::ReadFrame(socket, wire);
+  if (!reply.ok()) {
+    ADD_FAILURE() << "read failed: " << reply.error().ToText();
+    return {};
+  }
+  return std::move(reply).value();
+}
+
+/// A session command for session `id`, as request text.
+std::string SessionRequest(
+    const char* command, std::int64_t id,
+    std::initializer_list<std::pair<const char*, json::Json>> fields = {}) {
+  json::Json request = Cmd(command, fields);
+  request.Set("sessionId", id);
+  return request.Dump();
+}
+
+TEST(GatewayReplyBytes, SessionRepliesEqualSimServerHandleRawByteForByte) {
+  // gui-step-shaped sessions behind a real gateway over socket workers,
+  // against a bare SimServer given the same requests. A reply's bytes
+  // (the blob put back as its last key) must equal HandleRaw's — nothing
+  // between the worker's serializer and the client socket may re-render
+  // them — and must be what Dump(Parse(bytes)) gives.
+  shard::SpawnedFleet fleet;
+  shard::ShardRouter::Options routerOptions;
+  routerOptions.workerCount = 2;
+  routerOptions.transportFactory =
+      shard::MakeSpawningTransportFactory(&fleet, "oracle");
+  shard::ShardRouter router(routerOptions);
+  ScopedGateway gw(
+      [&router](const json::Json& request) { return router.Serve(request); });
+  ASSERT_NE(gw.gateway, nullptr);
+  Client client(gw.address());
+  server::SimServer oracle;
+
+  struct Pair {
+    std::int64_t fleetId = -1;
+    std::int64_t oracleId = -1;
+  };
+  std::vector<Pair> sessions;
+  for (const char* source : {kGuiSortC, kGuiFloatC}) {
+    const json::Json create =
+        Cmd("createSession", {{"code", json::Json(source)},
+                              {"isC", json::Json(true)},
+                              {"optLevel", json::Json(2)}});
+    const json::Json created = client.Call(create);
+    ASSERT_EQ(created.GetString("status", ""), "ok") << created.Dump();
+    const json::Json local = oracle.Handle(create);
+    ASSERT_EQ(local.GetString("status", ""), "ok") << local.Dump();
+    sessions.push_back(
+        {created.GetInt("sessionId", -1), local.GetInt("sessionId", -1)});
+  }
+
+  std::size_t compared = 0;
+  std::size_t blobs = 0;
+  // Runs the same command on both sides and compares the reply bytes.
+  const auto same = [&](const Pair& session, const char* command,
+                        std::initializer_list<std::pair<const char*, json::Json>>
+                            fields) {
+    const server::Reply reply =
+        RawCall(client.socket, SessionRequest(command, session.fleetId, fields));
+    const std::string expected =
+        oracle.HandleRaw(SessionRequest(command, session.oracleId, fields));
+    const std::string bytes = server::JoinReply(reply);
+    EXPECT_EQ(bytes, expected) << command;
+    auto parsed = json::Parse(bytes);
+    ASSERT_TRUE(parsed.ok()) << command;
+    EXPECT_EQ(parsed.value().Dump(), bytes) << command;
+    EXPECT_EQ(reply.text.rfind("{\"status\":", 0), 0u) << reply.text;
+    ++compared;
+    if (!reply.blob.empty()) ++blobs;
+  };
+  for (const Pair& session : sessions) {
+    same(session, "step", {{"count", json::Json(256)}});
+    same(session, "step", {{"count", json::Json(1)}});
+    same(session, "step", {{"count", json::Json(1)}});
+    same(session, "stepBack", {});
+    same(session, "restoreCheckpoint", {{"cycle", json::Json(100)}});
+    same(session, "restoreCheckpoint", {{"cycle", json::Json(300)}});
+    same(session, "state", {});
+    same(session, "stats", {});
+    same(session, "exportSession", {});
+    same(session, "step", {{"count", json::Json(-1)}});  // an error envelope
+  }
+  EXPECT_EQ(compared, 20u);
+  EXPECT_EQ(blobs, sessions.size()) << "exportSession ships its blob detached";
+}
+
+TEST(GatewayReplyBytes, EveryResponseStartsWithItsStatus) {
+  // The router and the gateway read a forwarded reply's outcome from its
+  // first key (server::ReplyIsOk). Every response shape — server,
+  // router-composed, gateway-composed, error envelopes — must lead with
+  // "status", or a peek would misread it.
+  const auto leadsWithStatus = [](const std::string& text,
+                                  const std::string& what) {
+    EXPECT_EQ(text.rfind("{\"status\":\"", 0), 0u) << what << ": " << text;
+    EXPECT_EQ(server::ReplyIsOk(text), text.rfind("{\"status\":\"ok\"", 0) == 0)
+        << what;
+  };
+
+  // The server, through the frame-level entry point both transports use.
+  server::SimServer sim;
+  const std::string createAsm =
+      Cmd("createSession", {{"code", json::Json(kSpinLoop)},
+                            {"entry", json::Json("main")}})
+          .Dump();
+  const std::vector<std::string> serverRequests = {
+      createAsm,
+      R"({"command":"step","sessionId":1,"count":5})",
+      R"({"command":"stepBack","sessionId":1})",
+      R"({"command":"saveCheckpoint","sessionId":1})",
+      R"({"command":"restoreCheckpoint","sessionId":1,"cycle":2})",
+      R"({"command":"state","sessionId":1})",
+      R"({"command":"run","sessionId":1,"maxCycles":10})",
+      R"({"command":"stats","sessionId":1})",
+      R"({"command":"fastForward","sessionId":1,"instructions":3})",
+      R"({"command":"exportSession","sessionId":1})",
+      R"({"command":"listSessions"})",
+      R"({"command":"compile","code":"int main(){return 0;}"})",
+      R"({"command":"parseAsm","code":"nonsense x"})",
+      R"({"command":"checkConfig","config":{}})",
+      R"({"command":"metrics"})",
+      R"({"command":"traceDump"})",
+      R"({"command":"hello"})",
+      R"({"command":"deleteSession","sessionId":1})",
+      R"({"command":"step","sessionId":1})",
+      R"({"command":"nope"})",
+      R"({not json)",
+      R"({"command":"shutdownWorker"})",
+  };
+  for (const std::string& request : serverRequests) {
+    leadsWithStatus(sim.HandleFrame(request, {}).text, request);
+  }
+  EXPECT_TRUE(sim.shutdownRequested());
+
+  // The router's and the gateway's own answers.
+  shard::ShardRouter::Options routerOptions;
+  routerOptions.workerCount = 2;
+  shard::ShardRouter router(routerOptions);
+  gateway::GatewayOptions options;
+  options.maxSessionsPerConnection = 1;
+  ScopedGateway gw(
+      [&router](const json::Json& request) { return router.Serve(request); },
+      options);
+  ASSERT_NE(gw.gateway, nullptr);
+  Client client(gw.address());
+  const std::vector<std::string> gatewayRequests = {
+      createAsm,
+      createAsm,  // over the one-session quota
+      R"({"command":"step","sessionId":1,"count":5})",
+      R"({"command":"step","sessionId":77})",
+      R"({"command":"listSessions"})",
+      R"({"command":"workerStats"})",
+      R"({"command":"metrics"})",
+      R"({"command":"traceDump"})",
+      R"({"command":"rebalance"})",
+      R"({"command":"drainWorker","worker":0})",
+      R"({"command":"openWorker","worker":0})",
+      R"({"command":"drainWorker","worker":9})",
+      R"({"command":"addWorker"})",
+      R"({"command":"removeWorker","worker":2})",
+      R"({"command":"removeWorker","worker":9})",
+      R"({"command":"shutdownWorker"})",
+      R"({"command":"hello"})",
+      R"({"command":"deleteSession","sessionId":1})",
+      R"({not json)",
+      R"({"command":"shutdownGateway"})",
+  };
+  for (const std::string& request : gatewayRequests) {
+    leadsWithStatus(RawCall(client.socket, request).text, request);
+  }
 }
 
 }  // namespace

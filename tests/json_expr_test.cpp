@@ -98,6 +98,28 @@ TEST(Json, NumericEqualityAcrossIntAndDouble) {
   EXPECT_NE(Json(2), Json(2.5));
 }
 
+TEST(Json, AsIntSaturatesDoublesBeyondInt64) {
+  // No double reaches a bare int64 cast: beyond the range AsInt saturates
+  // (FitsInt says so), inside it truncates toward zero.
+  const double kTwoTo63 = 9223372036854775808.0;
+  EXPECT_FALSE(Json(1e300).FitsInt());
+  EXPECT_EQ(Json(1e300).AsInt(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(Json(-1e300).FitsInt());
+  EXPECT_EQ(Json(-1e300).AsInt(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(Json(kTwoTo63).FitsInt());
+  EXPECT_TRUE(Json(-kTwoTo63).FitsInt());
+  EXPECT_EQ(Json(-kTwoTo63).AsInt(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_TRUE(Json(-2.9).FitsInt());
+  EXPECT_EQ(Json(-2.9).AsInt(), -2);
+  EXPECT_TRUE(Json(std::int64_t{7}).FitsInt());
+  EXPECT_FALSE(Json("7").FitsInt());
+  auto parsed = json::Parse(R"({"n":9223372036854775808})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(parsed.value().Find("n")->FitsInt());
+  EXPECT_EQ(parsed.value().GetInt("n", 0),
+            std::numeric_limits<std::int64_t>::max());
+}
+
 TEST(Json, SetReplacesExistingKey) {
   Json root = Json::MakeObject();
   root.Set("k", 1);

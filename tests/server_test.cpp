@@ -298,6 +298,44 @@ TEST(Api, StepBackReplaysInBoundedHopsWhenCheckpointsDisabled) {
   EXPECT_EQ(response.GetInt("replayedSteps", -1), 29);
 }
 
+TEST(Api, OutOfRangeIntegerFieldsAreRefusedByName) {
+  // A double beyond int64 once reached a bare static_cast (undefined
+  // behaviour): `count: 1e300` read as INT64_MIN and answered "'count'
+  // must be non-negative". Now every such field is refused by name.
+  SimServer server;
+  const std::int64_t id = CreateLoopSession(server);
+  ASSERT_GT(id, 0);
+  const std::string sid = std::to_string(id);
+  const struct {
+    std::string request;
+    const char* field;
+  } cases[] = {
+      {R"({"command":"step","sessionId":)" + sid + R"(,"count":1e300})",
+       "'count'"},
+      {R"({"command":"step","sessionId":)" + sid + R"(,"count":-1e300})",
+       "'count'"},
+      {R"({"command":"step","sessionId":1e300,"count":1})", "'sessionId'"},
+      {R"({"command":"restoreCheckpoint","sessionId":)" + sid +
+           R"(,"cycle":9223372036854775808})",
+       "'cycle'"},
+  };
+  for (const auto& bad : cases) {
+    auto response = json::Parse(server.HandleRaw(bad.request));
+    ASSERT_TRUE(response.ok());
+    testutil::CheckErrorEnvelope(response.value());
+    const json::Json error = testutil::ErrorOf(response.value());
+    EXPECT_EQ(error.GetString("kind", ""), "invalid_argument") << bad.request;
+    EXPECT_NE(error.GetString("message", "").find(bad.field),
+              std::string::npos)
+        << error.GetString("message", "");
+  }
+  // In-range doubles still read as the integer they truncate to.
+  auto stepped = json::Parse(server.HandleRaw(
+      R"({"command":"step","sessionId":)" + sid + R"(,"count":3.0})"));
+  ASSERT_TRUE(stepped.ok());
+  EXPECT_EQ(stepped.value().GetInt("stepped", -1), 3);
+}
+
 TEST(Api, StepStopsEarlyWhenSimulationFinishes) {
   SimServer server;
   const std::int64_t id = CreateLoopSession(server);

@@ -176,13 +176,14 @@ TEST(RouteThrough, RawBytePipeline) {
   ShardRouter::Options options;
   options.workerCount = 2;
   ShardRouter router(options);
-  server::RequestTiming timing;
   const std::string response = router.HandleRaw(
-      R"({"command":"createSession","code":"main:\n    ret\n"})", false,
-      &timing);
-  EXPECT_NE(response.find("\"status\":"), std::string::npos);
-  EXPECT_NE(response.find("ok"), std::string::npos);
-  EXPECT_GT(timing.responseBytes, 0u);
+      R"({"command":"createSession","code":"main:\n    ret\n"})");
+  EXPECT_EQ(response.rfind(R"({"status":"ok")", 0), 0u) << response;
+  auto parsed = json::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  EXPECT_EQ(parsed.value().GetInt("sessionId", -1), 1);
+  EXPECT_EQ(router.HandleRaw("{not json").rfind(R"({"status":"error")", 0),
+            0u);
 }
 
 TEST(RouteThrough, SessionsSpreadAcrossWorkers) {
@@ -456,7 +457,7 @@ class FirstImportFailsTransport : public WorkerTransport {
   explicit FirstImportFailsTransport(const server::SimServer::Limits& limits)
       : inner_(limits) {}
 
-  Result<json::Json> Call(const json::Json& request) override {
+  Result<server::Reply> Call(const json::Json& request) override {
     if (request.GetString("command", "") == "importSession" &&
         !failedOnce_.exchange(true)) {
       return Error{ErrorKind::kInternal,
@@ -886,7 +887,7 @@ class GatedRunTransport : public WorkerTransport {
   explicit GatedRunTransport(const server::SimServer::Limits& limits)
       : inner_(limits) {}
 
-  Result<json::Json> Call(const json::Json& request) override {
+  Result<server::Reply> Call(const json::Json& request) override {
     if (request.GetString("command", "") == "run") {
       entered_.store(true);
       std::unique_lock<std::mutex> lock(mutex_);

@@ -11,6 +11,7 @@
 #include "core/simulation.h"
 #include "json/json.h"
 #include "ref/interpreter.h"
+#include "server/wire.h"
 
 namespace rvss::testutil {
 
@@ -46,6 +47,14 @@ inline json::Json ErrorDetails(const json::Json& response) {
   const json::Json error = ErrorOf(response);
   const json::Json* details = error.Find("details");
   return details != nullptr ? *details : json::Json::MakeObject();
+}
+
+/// The document a transport reply carries, blob reattached; a null node
+/// when the call failed or the reply does not parse.
+inline json::Json Parsed(const Result<server::Reply>& reply) {
+  if (!reply.ok()) return json::Json();
+  auto parsed = server::ParseReply(reply.value());
+  return parsed.ok() ? std::move(parsed).value() : json::Json();
 }
 
 /// Runs a program on the golden-model ISS and returns the interpreter for

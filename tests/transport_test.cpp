@@ -106,6 +106,32 @@ TEST(Framing, OversizedFrameRejectedByTheCap) {
   EXPECT_NE(decoded.error().message.find("frame cap"), std::string::npos);
 }
 
+TEST(Wire, ReplySectionsRoundTripWithoutParsing) {
+  json::Json document = json::Json::MakeObject();
+  document.Set("status", "ok");
+  document.Set("cycle", 3);
+  document.Set("blob", "QUJD");
+  const server::Reply reply = server::ToReply(document);
+  EXPECT_EQ(reply.text, R"({"status":"ok","cycle":3})");
+  EXPECT_EQ(reply.blob, "QUJD");
+  EXPECT_EQ(server::JoinReply(reply), document.Dump());
+  auto parsed = server::ParseReply(reply);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), document);
+
+  // An empty blob is not detached: blobBytes == 0 means "none".
+  document.Set("blob", "");
+  EXPECT_EQ(server::ToReply(document).text, document.Dump());
+  EXPECT_TRUE(server::ToReply(document).blob.empty());
+
+  EXPECT_TRUE(server::ReplyIsOk(R"({"status":"ok"})"));
+  EXPECT_TRUE(server::ReplyIsOk(R"({"status":"ok","x":1})"));
+  EXPECT_FALSE(server::ReplyIsOk(R"({"status":"okay"})"));
+  EXPECT_FALSE(server::ReplyIsOk(R"({"status":"error","error":{}})"));
+  EXPECT_FALSE(server::ReplyIsOk(R"({"x":1,"status":"ok"})"));
+  EXPECT_FALSE(server::ReplyIsOk(""));
+}
+
 // ---- wire messages over a live worker ---------------------------------------
 
 TEST(SocketTransport, MatchesInProcessStepByStep) {
@@ -117,9 +143,10 @@ TEST(SocketTransport, MatchesInProcessStepByStep) {
                                  {{"code", json::Json(kSpinLoop)},
                                   {"entry", json::Json("main")}}));
   ASSERT_TRUE(created.ok()) << created.error().ToText();
-  ASSERT_EQ(created.value().GetString("status", ""), "ok")
-      << created.value().Dump();
-  const std::int64_t remoteId = created.value().GetInt("sessionId", -1);
+  ASSERT_EQ(testutil::Parsed(created).GetString("status", ""), "ok")
+      << created.value().text;
+  const std::int64_t remoteId =
+      testutil::Parsed(created).GetInt("sessionId", -1);
   json::Json localCreated = local.Handle(
       Cmd("createSession", {{"code", json::Json(kSpinLoop)},
                             {"entry", json::Json("main")}}));
@@ -131,8 +158,7 @@ TEST(SocketTransport, MatchesInProcessStepByStep) {
     json::Json b = local.Handle(Cmd("step", {{"sessionId", json::Json(localId)},
                                              {"count", json::Json(123)}}));
     ASSERT_TRUE(a.ok()) << a.error().ToText();
-    EXPECT_EQ(a.value().Find("state")->Dump(), b.Find("state")->Dump())
-        << "batch " << batch;
+    EXPECT_EQ(a.value().text, b.Dump()) << "batch " << batch;
   }
 
   // The blob section round-trips: export over the wire equals a local
@@ -142,8 +168,7 @@ TEST(SocketTransport, MatchesInProcessStepByStep) {
   ASSERT_TRUE(exported.ok());
   json::Json localExported =
       local.Handle(Cmd("exportSession", {{"sessionId", json::Json(localId)}}));
-  EXPECT_EQ(exported.value().GetString("blob", "+"),
-            localExported.GetString("blob", "-"));
+  EXPECT_EQ(exported.value().blob, localExported.GetString("blob", "-"));
 }
 
 TEST(SocketTransport, ParseErrorKeepsTheConnectionUsable) {
@@ -268,7 +293,7 @@ TEST(SocketTransport, ReconnectsAfterWorkerRestart) {
 
   auto before = transport.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
   ASSERT_TRUE(before.ok()) << before.error().ToText();
-  EXPECT_EQ(before.value().GetString("status", ""), "ok");
+  EXPECT_EQ(testutil::Parsed(before).GetString("status", ""), "ok");
 
   KillWorker(first.value());
   ReapWorker(first.value());
@@ -284,7 +309,7 @@ TEST(SocketTransport, ReconnectsAfterWorkerRestart) {
   ASSERT_TRUE(second.ok());
   auto after = transport.Call(Cmd("parseAsm", {{"code", json::Json(kSpinLoop)}}));
   ASSERT_TRUE(after.ok()) << after.error().ToText();
-  EXPECT_EQ(after.value().GetString("status", ""), "ok");
+  EXPECT_EQ(testutil::Parsed(after).GetString("status", ""), "ok");
   KillWorker(second.value());
   ReapWorker(second.value());
 }
@@ -420,7 +445,7 @@ void ExpectTcpTransportWorks(const std::string& listenAddress,
   auto shutdown = transport.Call(Cmd("shutdownWorker"));
   service.stopped = shutdown.ok();
   ASSERT_TRUE(response.ok()) << response.error().ToText();
-  EXPECT_EQ(response.value().GetString("status", ""), "ok");
+  EXPECT_EQ(testutil::Parsed(response).GetString("status", ""), "ok");
   EXPECT_TRUE(shutdown.ok());
 }
 
