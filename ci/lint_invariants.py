@@ -80,7 +80,7 @@ THREAD_ALLOW = {
 
 # Standalone structs whose fields the codec must cover even though they
 # carry no SaveState themselves (they *are* the saved state).
-EXTRA_STATE_STRUCTS = {"SimSnapshot"}
+EXTRA_STATE_STRUCTS = {"SimSnapshot", "PipelineState"}
 
 # Directories whose code forwards replies as bytes and must not
 # serialize a document itself.

@@ -3,6 +3,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace rvss::cc {
 namespace {
@@ -98,12 +99,17 @@ class Parser {
     ~DepthScope() { depth = saved; }
   };
 
+  /// The error for an operator or postfix chain past the budget: a long
+  /// flat chain is not deep nesting in the source, whatever its tree.
+  static constexpr std::string_view kTooLong =
+      "expression too long: more than 256 chained operators";
+
   /// Enters one more nesting level (undone by the enclosing DepthScope).
-  Status Nest() {
-    if (++depth_ > kMaxDepth) {
-      return Fail("nesting deeper than " + std::to_string(kMaxDepth) +
-                  " levels");
-    }
+  /// `overflow` is the error once the budget is spent, with `reserve`
+  /// levels kept back for what the caller parses next.
+  Status Nest(std::string_view overflow = "nesting deeper than 256 levels",
+              int reserve = 0) {
+    if (++depth_ + reserve > kMaxDepth) return Fail(std::string(overflow));
     return Status::Ok();
   }
 
@@ -678,7 +684,9 @@ class Parser {
       bool matched = false;
       for (std::string_view op : ops) {
         if (AtPunct(op)) {
-          RVSS_RETURN_IF_ERROR(Nest());
+          // A plain right operand still opens one level (Unary); keeping
+          // it back makes a long chain fail here, named as a chain.
+          RVSS_RETURN_IF_ERROR(Nest(kTooLong, 1));
           SourcePos pos = Take().pos;
           RVSS_ASSIGN_OR_RETURN(NodePtr rhs, (this->*next)());
           RVSS_ASSIGN_OR_RETURN(
@@ -891,7 +899,7 @@ class Parser {
     RVSS_ASSIGN_OR_RETURN(NodePtr node, Primary());
     while (AtPunct("[") || AtPunct("(") || AtPunct(".") || AtPunct("->") ||
            AtPunct("++") || AtPunct("--")) {
-      RVSS_RETURN_IF_ERROR(Nest());
+      RVSS_RETURN_IF_ERROR(Nest(kTooLong));
       const SourcePos pos = Cur().pos;
       if (ConsumePunct("[")) {
         RVSS_ASSIGN_OR_RETURN(NodePtr index, Expression());

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -62,7 +61,8 @@ const char* ToString(FinishReason reason);
 
 using assembler::WindowKind;
 
-/// Runtime state of one functional unit.
+/// Static description of one functional unit; what it is executing lives
+/// in PipelineState::fuCurrent / fuBusyUntil.
 struct FunctionalUnit {
   /// Dense cache of config.LatencyFor over every isa::OpClass value, so
   /// the issue stage's unit scan is an array read, not a list search.
@@ -72,8 +72,6 @@ struct FunctionalUnit {
   config::FunctionalUnitConfig config;
   std::array<std::uint32_t, kOpClassCount> latencyByClass{};
   std::size_t statsIndex = 0;     ///< index into statistics().unitUsage
-  InFlightPtr current;            ///< instruction in execution, if any
-  std::uint64_t busyUntil = 0;    ///< cycle the current instruction finishes
 };
 
 /// Architectural state a fast-forward deposited at the start of the
@@ -91,13 +89,10 @@ struct FastForwardSeed {
                          const FastForwardSeed&) = default;
 };
 
-/// Complete copyable snapshot of a Simulation's mutable state.
-///
-/// Every pipeline container holds deep copies of its InFlight entries —
-/// cloned with aliasing preserved, so an instruction sitting in both the
-/// ROB and a load buffer is one shared object inside the snapshot, but the
-/// snapshot shares nothing with the live run. Restoring clones again, so
-/// one snapshot can seed many restores (checkpoint ring, session forks).
+/// Complete copyable snapshot of a Simulation's mutable state. It is a
+/// plain value: the pipeline, in-flight instructions included, is one
+/// PipelineState copy, so one snapshot can seed many restores (checkpoint
+/// ring, session forks).
 struct SimSnapshot {
   std::uint64_t cycle = 0;
   std::uint64_t nextSeq = 1;
@@ -108,13 +103,7 @@ struct SimSnapshot {
   FinishReason finishReason = FinishReason::kNone;
   std::optional<Error> fault;
 
-  std::deque<InFlightPtr> fetchQueue;
-  std::deque<InFlightPtr> rob;
-  std::array<std::vector<InFlightPtr>, 4> windows;
-  std::deque<InFlightPtr> loadBuffer;
-  std::deque<InFlightPtr> storeBuffer;
-  std::vector<InFlightPtr> fuCurrent;      ///< per functional unit
-  std::vector<std::uint64_t> fuBusyUntil;  ///< per functional unit
+  PipelineState pipeline;
 
   ArchRegisterFile::State arch;
   RenameState::State rename;
@@ -212,7 +201,7 @@ class Simulation {
   // --- explicit state -------------------------------------------------------
 
   /// Captures the complete mutable state. The snapshot shares nothing with
-  /// the live run (InFlight entries are deep-copied, aliasing preserved).
+  /// the live run.
   SimSnapshot SaveState() const { return SaveStateImpl(true); }
 
   /// Restores a snapshot previously captured from an identical
@@ -260,13 +249,10 @@ class Simulation {
   SimLog& log() { return log_; }
   const SimLog& log() const { return log_; }
 
-  const std::deque<InFlightPtr>& fetchQueue() const { return fetchQueue_; }
-  const std::deque<InFlightPtr>& rob() const { return rob_; }
-  const std::vector<InFlightPtr>& window(WindowKind kind) const {
-    return windows_[static_cast<std::size_t>(kind)];
-  }
-  const std::deque<InFlightPtr>& loadBuffer() const { return loadBuffer_; }
-  const std::deque<InFlightPtr>& storeBuffer() const { return storeBuffer_; }
+  /// The pipeline containers (slots) and what each unit is executing.
+  const PipelineState& pipeline() const { return pipeline_; }
+  /// The instruction a pipeline container's slot refers to.
+  const InFlight& inflight(Slot slot) const { return pipeline_[slot]; }
   const std::vector<FunctionalUnit>& functionalUnits() const { return fus_; }
 
   /// Optional commit-order trace: every committed PC is appended to
@@ -309,16 +295,15 @@ class Simulation {
   void StageFetch();
 
   // Helpers.
-  void FinalizeAlu(const InFlightPtr& inst);
-  void FinalizeAddressGen(const InFlightPtr& inst);
-  void ResolveBranch(const InFlightPtr& inst,
-                     std::vector<InFlightPtr>& mispredicts);
-  void CompleteLoad(const InFlightPtr& inst);
-  void WriteDestinations(const InFlightPtr& inst,
-                         const expr::EvalResult& result);
+  void FinalizeAlu(InFlight& inst);
+  void FinalizeAddressGen(InFlight& inst);
+  /// Resolves a branch and trains the predictor; true when fetch must be
+  /// redirected (a misprediction, or a parked BTB-miss jalr).
+  bool ResolveBranch(InFlight& inst);
+  void CompleteLoad(InFlight& inst);
+  void WriteDestinations(InFlight& inst, const expr::EvalResult& result);
   /// Single-destination write-back used by the FastForm ALU path.
-  void WriteDest(const InFlightPtr& inst, int argIndex,
-                 const expr::Value& value);
+  void WriteDest(InFlight& inst, int argIndex, const expr::Value& value);
   void WakeUp(int tag, std::uint64_t cell);
   void FlushYoungerThan(std::uint64_t seq, std::uint32_t newPc);
   void Finish(FinishReason reason);
@@ -368,12 +353,8 @@ class Simulation {
   FinishReason finishReason_ = FinishReason::kNone;
   std::optional<Error> fault_;
 
-  std::deque<InFlightPtr> fetchQueue_;
-  std::deque<InFlightPtr> rob_;
-  std::array<std::vector<InFlightPtr>, 4> windows_;
-  std::deque<InFlightPtr> loadBuffer_;
-  std::deque<InFlightPtr> storeBuffer_;
-  std::vector<FunctionalUnit> fus_;
+  PipelineState pipeline_;
+  std::vector<FunctionalUnit> fus_;  // snapshot: derived
   /// Indices into fus_ of the units each issue window can dispatch to,
   /// grouped once at construction (issue never scans foreign-kind units).
   std::array<std::vector<std::uint32_t>, 4> fusByWindow_;  // snapshot: derived

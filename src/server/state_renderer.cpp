@@ -5,28 +5,28 @@
 namespace rvss::server {
 namespace {
 
-json::Json InstructionToJson(const core::InFlightPtr& inst) {
+json::Json InstructionToJson(const core::InFlight& inst) {
   json::Json node = json::Json::MakeObject();
-  node.Set("seq", static_cast<std::int64_t>(inst->seq));
-  node.Set("pc", static_cast<std::int64_t>(inst->pc));
-  node.Set("text", inst->inst->text);
-  node.Set("phase", core::ToString(inst->phase));
-  if (inst->isControl) {
-    node.Set("predictedTaken", inst->predictedTaken);
-    node.Set("btbHit", inst->btbHit);
+  node.Set("seq", static_cast<std::int64_t>(inst.seq));
+  node.Set("pc", static_cast<std::int64_t>(inst.pc));
+  node.Set("text", inst.inst->text);
+  node.Set("phase", core::ToString(inst.phase));
+  if (inst.isControl) {
+    node.Set("predictedTaken", inst.predictedTaken);
+    node.Set("btbHit", inst.btbHit);
   }
-  if (inst->inst->def->IsMemory()) {
-    node.Set("addressReady", inst->addressReady);
-    if (inst->addressReady) {
-      node.Set("address", static_cast<std::int64_t>(inst->effectiveAddress));
-      node.Set("cacheHit", inst->cacheHit);
+  if (inst.inst->def->IsMemory()) {
+    node.Set("addressReady", inst.addressReady);
+    if (inst.addressReady) {
+      node.Set("address", static_cast<std::int64_t>(inst.effectiveAddress));
+      node.Set("cacheHit", inst.cacheHit);
     }
   }
   json::Json operands = json::Json::MakeArray();
-  for (std::size_t i = 0; i < inst->operandCount; ++i) {
-    const core::OperandRuntime& operand = inst->operands[i];
+  for (std::size_t i = 0; i < inst.operandCount; ++i) {
+    const core::OperandRuntime& operand = inst.operands[i];
     json::Json opNode = json::Json::MakeObject();
-    opNode.Set("name", inst->inst->def->args[i].name);
+    opNode.Set("name", inst.inst->def->args[i].name);
     if (operand.isSource) {
       opNode.Set("valid", operand.ready);
       if (operand.ready) opNode.Set("value", operand.value.ToText());
@@ -39,19 +39,20 @@ json::Json InstructionToJson(const core::InFlightPtr& inst) {
   }
   node.Set("operands", std::move(operands));
   json::Json times = json::Json::MakeObject();
-  times.Set("fetch", static_cast<std::int64_t>(inst->fetchCycle));
-  times.Set("decode", static_cast<std::int64_t>(inst->decodeCycle));
-  times.Set("issue", static_cast<std::int64_t>(inst->issueCycle));
-  times.Set("execute", static_cast<std::int64_t>(inst->executeDoneCycle));
-  times.Set("commit", static_cast<std::int64_t>(inst->commitCycle));
+  times.Set("fetch", static_cast<std::int64_t>(inst.fetchCycle));
+  times.Set("decode", static_cast<std::int64_t>(inst.decodeCycle));
+  times.Set("issue", static_cast<std::int64_t>(inst.issueCycle));
+  times.Set("execute", static_cast<std::int64_t>(inst.executeDoneCycle));
+  times.Set("commit", static_cast<std::int64_t>(inst.commitCycle));
   node.Set("timestamps", std::move(times));
   return node;
 }
 
-json::Json QueueToJson(const std::deque<core::InFlightPtr>& queue) {
+template <typename Container>
+json::Json QueueToJson(const core::Simulation& sim, const Container& queue) {
   json::Json out = json::Json::MakeArray();
-  for (const core::InFlightPtr& inst : queue) {
-    out.Append(InstructionToJson(inst));
+  for (const core::Slot slot : queue) {
+    out.Append(InstructionToJson(sim.inflight(slot)));
   }
   return out;
 }
@@ -76,31 +77,31 @@ json::Json RenderJson(const core::Simulation& sim,
   root.Set("finishReason", core::ToString(sim.finishReason()));
   root.Set("fetchPc", static_cast<std::int64_t>(sim.fetchPc()));
 
-  root.Set("fetchQueue", QueueToJson(sim.fetchQueue()));
-  root.Set("reorderBuffer", QueueToJson(sim.rob()));
-  root.Set("loadBuffer", QueueToJson(sim.loadBuffer()));
-  root.Set("storeBuffer", QueueToJson(sim.storeBuffer()));
+  const core::PipelineState& pipeline = sim.pipeline();
+  root.Set("fetchQueue", QueueToJson(sim, pipeline.fetchQueue));
+  root.Set("reorderBuffer", QueueToJson(sim, pipeline.rob));
+  root.Set("loadBuffer", QueueToJson(sim, pipeline.loadBuffer));
+  root.Set("storeBuffer", QueueToJson(sim, pipeline.storeBuffer));
 
   json::Json windows = json::Json::MakeObject();
   for (int w = 0; w < 4; ++w) {
-    const auto kind = static_cast<core::WindowKind>(w);
-    json::Json entries = json::Json::MakeArray();
-    for (const core::InFlightPtr& inst : sim.window(kind)) {
-      entries.Append(InstructionToJson(inst));
-    }
-    windows.Set(WindowName(kind), std::move(entries));
+    windows.Set(WindowName(static_cast<core::WindowKind>(w)),
+                QueueToJson(sim, pipeline.windows[w]));
   }
   root.Set("issueWindows", std::move(windows));
 
   json::Json units = json::Json::MakeArray();
-  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
+  for (std::size_t u = 0; u < sim.functionalUnits().size(); ++u) {
+    const core::FunctionalUnit& fu = sim.functionalUnits()[u];
+    const core::Slot current = pipeline.fuCurrent[u];
     json::Json unit = json::Json::MakeObject();
     unit.Set("name", fu.config.name);
     unit.Set("kind", config::ToString(fu.config.kind));
-    unit.Set("busy", fu.current != nullptr);
-    if (fu.current) {
-      unit.Set("instruction", InstructionToJson(fu.current));
-      unit.Set("busyUntil", static_cast<std::int64_t>(fu.busyUntil));
+    unit.Set("busy", current != core::kNoSlot);
+    if (current != core::kNoSlot) {
+      unit.Set("instruction", InstructionToJson(sim.inflight(current)));
+      unit.Set("busyUntil",
+               static_cast<std::int64_t>(pipeline.fuBusyUntil[u]));
     }
     units.Append(std::move(unit));
   }
@@ -228,34 +229,38 @@ std::string RenderText(const core::Simulation& sim) {
       core::ToString(sim.status()), sim.fetchPc(), st.Ipc(),
       100.0 * st.BranchAccuracy());
 
+  const core::PipelineState& pipeline = sim.pipeline();
   auto renderQueue = [&](const char* name, const auto& queue) {
     out += StrFormat("[%s]", name);
-    for (const core::InFlightPtr& inst : queue) {
+    for (const core::Slot slot : queue) {
+      const core::InFlight& inst = sim.inflight(slot);
       out += StrFormat(" {%llu:0x%x %s}",
-                       static_cast<unsigned long long>(inst->seq), inst->pc,
-                       inst->inst->text.c_str());
+                       static_cast<unsigned long long>(inst.seq), inst.pc,
+                       inst.inst->text.c_str());
     }
     out += '\n';
   };
-  renderQueue("Fetch ", sim.fetchQueue());
+  renderQueue("Fetch ", pipeline.fetchQueue);
   for (int w = 0; w < 4; ++w) {
-    const auto kind = static_cast<core::WindowKind>(w);
-    renderQueue(WindowName(kind), sim.window(kind));
+    renderQueue(WindowName(static_cast<core::WindowKind>(w)),
+                pipeline.windows[w]);
   }
   out += "[Units ]";
-  for (const core::FunctionalUnit& fu : sim.functionalUnits()) {
-    if (fu.current) {
+  for (std::size_t u = 0; u < sim.functionalUnits().size(); ++u) {
+    const core::FunctionalUnit& fu = sim.functionalUnits()[u];
+    const core::Slot current = pipeline.fuCurrent[u];
+    if (current != core::kNoSlot) {
       out += StrFormat(" %s<%s until %llu>", fu.config.name.c_str(),
-                       fu.current->inst->text.c_str(),
-                       static_cast<unsigned long long>(fu.busyUntil));
+                       sim.inflight(current).inst->text.c_str(),
+                       static_cast<unsigned long long>(pipeline.fuBusyUntil[u]));
     } else {
       out += StrFormat(" %s<idle>", fu.config.name.c_str());
     }
   }
   out += '\n';
-  renderQueue("ROB   ", sim.rob());
-  renderQueue("LoadB ", sim.loadBuffer());
-  renderQueue("StoreB", sim.storeBuffer());
+  renderQueue("ROB   ", pipeline.rob);
+  renderQueue("LoadB ", pipeline.loadBuffer);
+  renderQueue("StoreB", pipeline.storeBuffer);
 
   // Architectural registers, ABI names, with rename markers.
   out += "[Regs  ]";

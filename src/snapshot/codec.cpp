@@ -1,7 +1,6 @@
 #include "snapshot/codec.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
@@ -75,38 +74,34 @@ bool DecodeOptionalError(Reader& r, std::optional<Error>& error) {
 
 // --- in-flight instruction table --------------------------------------------
 
-/// Deduplicated first-seen-order table of every InFlight reachable from the
-/// snapshot's containers; containers then serialize as index lists, which
-/// preserves aliasing across decode.
-class InFlightTable {
- public:
-  explicit InFlightTable(const core::SimSnapshot& snapshot) {
-    auto visit = [this](const core::InFlightPtr& inst) {
-      if (inst == nullptr) return;
-      if (indexOf_.emplace(inst.get(), entries_.size()).second) {
-        entries_.push_back(inst.get());
-      }
+/// The wire's in-flight table: every pool slot the containers reference,
+/// numbered in first-seen order (fetch queue, ROB, windows, load buffer,
+/// store buffer, functional units). Containers then serialize as index
+/// lists, so an instruction held by two containers is one table entry.
+struct InFlightTable {
+  explicit InFlightTable(const core::PipelineState& pipeline)
+      : wireIndex(pipeline.pool.size(), kNullIndex) {
+    auto visit = [this](core::Slot slot) {
+      if (slot == core::kNoSlot || wireIndex[slot] != kNullIndex) return;
+      wireIndex[slot] = static_cast<std::uint32_t>(entries.size());
+      entries.push_back(slot);
     };
-    for (const auto& inst : snapshot.fetchQueue) visit(inst);
-    for (const auto& inst : snapshot.rob) visit(inst);
-    for (const auto& window : snapshot.windows) {
-      for (const auto& inst : window) visit(inst);
+    for (const core::Slot slot : pipeline.fetchQueue) visit(slot);
+    for (const core::Slot slot : pipeline.rob) visit(slot);
+    for (const auto& window : pipeline.windows) {
+      for (const core::Slot slot : window) visit(slot);
     }
-    for (const auto& inst : snapshot.loadBuffer) visit(inst);
-    for (const auto& inst : snapshot.storeBuffer) visit(inst);
-    for (const auto& inst : snapshot.fuCurrent) visit(inst);
+    for (const core::Slot slot : pipeline.loadBuffer) visit(slot);
+    for (const core::Slot slot : pipeline.storeBuffer) visit(slot);
+    for (const core::Slot slot : pipeline.fuCurrent) visit(slot);
   }
 
-  std::uint32_t IndexOf(const core::InFlightPtr& inst) const {
-    if (inst == nullptr) return kNullIndex;
-    return static_cast<std::uint32_t>(indexOf_.at(inst.get()));
+  std::uint32_t IndexOf(core::Slot slot) const {
+    return slot == core::kNoSlot ? kNullIndex : wireIndex[slot];
   }
 
-  const std::vector<const core::InFlight*>& entries() const { return entries_; }
-
- private:
-  std::vector<const core::InFlight*> entries_;
-  std::unordered_map<const core::InFlight*, std::size_t> indexOf_;
+  std::vector<core::Slot> entries;       ///< wire index -> slot
+  std::vector<std::uint32_t> wireIndex;  ///< slot -> wire index
 };
 
 void EncodeInFlight(Writer& w, const core::InFlight& inst,
@@ -158,61 +153,60 @@ void EncodeInFlight(Writer& w, const core::InFlight& inst,
   }
 }
 
-/// Decodes one InFlight; `renameCount` bounds the rename tags so a hostile
-/// blob cannot plant tags that index out of the speculative register file.
-Result<core::InFlightPtr> DecodeInFlight(Reader& r,
-                                         const assembler::Program& program,
-                                         std::uint32_t renameCount) {
-  auto inst = std::make_shared<core::InFlight>();
-  inst->seq = r.U64();
+/// Decodes one InFlight into `inst`; `renameCount` bounds the rename tags
+/// so a hostile blob cannot plant tags that index out of the speculative
+/// register file.
+Status DecodeInFlight(Reader& r, const assembler::Program& program,
+                      std::uint32_t renameCount, core::InFlight& inst) {
+  inst.seq = r.U64();
   const std::uint32_t instIndex = r.U32();
   if (r.ok() && instIndex >= program.instructions.size()) {
     return CodecError("in-flight instruction index out of range");
   }
-  inst->inst = r.ok() ? &program.instructions[instIndex] : nullptr;
-  inst->pc = r.U32();
+  inst.inst = r.ok() ? &program.instructions[instIndex] : nullptr;
+  inst.pc = r.U32();
   const std::uint8_t phase = r.U8();
   if (phase > static_cast<std::uint8_t>(core::Phase::kSquashed)) {
     return CodecError("in-flight phase out of range");
   }
-  inst->phase = static_cast<core::Phase>(phase);
+  inst.phase = static_cast<core::Phase>(phase);
 
   const std::uint16_t flags = r.U16();
-  bool* bits[] = {&inst->isControl,     &inst->predictedTaken,
-                  &inst->btbHit,        &inst->branchTaken,
-                  &inst->mispredicted,  &inst->isExit,
-                  &inst->addressReady,  &inst->memoryStarted,
-                  &inst->memoryDone,    &inst->cacheHit,
-                  &inst->forwarded,     &inst->drainPending,
-                  &inst->drainStarted,  &inst->stalledFetch,
-                  &inst->resultsReady};
+  bool* bits[] = {&inst.isControl,     &inst.predictedTaken,
+                  &inst.btbHit,        &inst.branchTaken,
+                  &inst.mispredicted,  &inst.isExit,
+                  &inst.addressReady,  &inst.memoryStarted,
+                  &inst.memoryDone,    &inst.cacheHit,
+                  &inst.forwarded,     &inst.drainPending,
+                  &inst.drainStarted,  &inst.stalledFetch,
+                  &inst.resultsReady};
   for (std::size_t i = 0; i < std::size(bits); ++i) {
     *bits[i] = (flags & (1u << i)) != 0;
   }
 
-  inst->predictedNextPc = r.U32();
-  inst->historyCheckpoint = r.U32();
-  inst->branchTarget = r.U32();
-  inst->effectiveAddress = r.U32();
-  inst->forwardedRaw = r.U64();
-  if (!DecodeOptionalError(r, inst->exception)) {
+  inst.predictedNextPc = r.U32();
+  inst.historyCheckpoint = r.U32();
+  inst.branchTarget = r.U32();
+  inst.effectiveAddress = r.U32();
+  inst.forwardedRaw = r.U64();
+  if (!DecodeOptionalError(r, inst.exception)) {
     return CodecError("malformed in-flight exception");
   }
-  inst->fetchCycle = r.U64();
-  inst->decodeCycle = r.U64();
-  inst->issueCycle = r.U64();
-  inst->executeDoneCycle = r.U64();
-  inst->commitCycle = r.U64();
+  inst.fetchCycle = r.U64();
+  inst.decodeCycle = r.U64();
+  inst.issueCycle = r.U64();
+  inst.executeDoneCycle = r.U64();
+  inst.commitCycle = r.U64();
 
-  inst->operandCount = r.U8();
-  if (inst->operandCount > inst->operands.size()) {
+  inst.operandCount = r.U8();
+  if (inst.operandCount > inst.operands.size()) {
     return CodecError("in-flight operand count out of range");
   }
   const auto validTag = [renameCount](std::int32_t tag, std::int32_t minimum) {
     return tag >= minimum && tag < static_cast<std::int32_t>(renameCount);
   };
-  for (std::size_t i = 0; i < inst->operandCount; ++i) {
-    core::OperandRuntime& operand = inst->operands[i];
+  for (std::size_t i = 0; i < inst.operandCount; ++i) {
+    core::OperandRuntime& operand = inst.operands[i];
     const std::uint8_t opFlags = r.U8();
     operand.isSource = (opFlags & 1) != 0;
     operand.isDest = (opFlags & 2) != 0;
@@ -233,7 +227,7 @@ Result<core::InFlightPtr> DecodeInFlight(Reader& r,
     }
   }
   if (!r.ok()) return CodecError(r.failReason());
-  return inst;
+  return Status::Ok();
 }
 
 // --- container index lists --------------------------------------------------
@@ -242,41 +236,42 @@ template <typename Container>
 void EncodeIndexList(Writer& w, const Container& container,
                      const InFlightTable& table) {
   w.U32(static_cast<std::uint32_t>(container.size()));
-  for (const core::InFlightPtr& inst : container) w.U32(table.IndexOf(inst));
+  for (const core::Slot slot : container) w.U32(table.IndexOf(slot));
 }
 
-/// Decodes an index list into `out` (deque or vector of InFlightPtr).
-/// `allowNull` admits the null sentinel (functional-unit slots only).
+/// Decodes an index list into `out` (deque or vector of slots; table entry
+/// i is pool slot i) and marks each entry it references in `referenced`.
+/// `allowNull` admits the null sentinel (functional units only).
 /// `maxSize` caps the list at the live container's configured capacity,
 /// and duplicates within one list are rejected (a pipeline container
 /// never holds the same instruction twice — aliasing is only legitimate
 /// *across* containers), so a checksum-correct but hostile blob cannot
 /// oversize a buffer or double-commit an instruction.
 template <typename Container>
-Status DecodeIndexList(Reader& r,
-                       const std::vector<core::InFlightPtr>& table,
+Status DecodeIndexList(Reader& r, std::vector<bool>& referenced,
                        bool allowNull, std::size_t maxSize, Container& out) {
   const std::uint32_t count = r.Count(4);
   if (r.ok() && count > maxSize) {
     return CodecError("container larger than its configured capacity");
   }
-  std::vector<bool> seen(table.size(), false);
+  std::vector<bool> seen(referenced.size(), false);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t index = r.U32();
     if (!r.ok()) break;
     if (index == kNullIndex) {
       if (!allowNull) return CodecError("unexpected null in-flight reference");
-      out.push_back(nullptr);
+      out.push_back(core::kNoSlot);
       continue;
     }
-    if (index >= table.size()) {
+    if (index >= referenced.size()) {
       return CodecError("in-flight table index out of range");
     }
     if (seen[index]) {
       return CodecError("duplicate in-flight reference within one container");
     }
     seen[index] = true;
-    out.push_back(table[index]);
+    referenced[index] = true;
+    out.push_back(static_cast<core::Slot>(index));
   }
   if (!r.ok()) return CodecError(r.failReason());
   return Status::Ok();
@@ -350,21 +345,22 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
   }
 
   // In-flight table + containers as index lists.
-  InFlightTable table(snapshot);
-  w.U32(static_cast<std::uint32_t>(table.entries().size()));
-  for (const core::InFlight* inst : table.entries()) {
-    EncodeInFlight(w, *inst, program);
+  const core::PipelineState& pipeline = snapshot.pipeline;
+  const InFlightTable table(pipeline);
+  w.U32(static_cast<std::uint32_t>(table.entries.size()));
+  for (const core::Slot slot : table.entries) {
+    EncodeInFlight(w, pipeline.pool[slot], program);
   }
-  EncodeIndexList(w, snapshot.fetchQueue, table);
-  EncodeIndexList(w, snapshot.rob, table);
-  for (const auto& window : snapshot.windows) {
+  EncodeIndexList(w, pipeline.fetchQueue, table);
+  EncodeIndexList(w, pipeline.rob, table);
+  for (const auto& window : pipeline.windows) {
     EncodeIndexList(w, window, table);
   }
-  EncodeIndexList(w, snapshot.loadBuffer, table);
-  EncodeIndexList(w, snapshot.storeBuffer, table);
-  EncodeIndexList(w, snapshot.fuCurrent, table);
-  w.U32(static_cast<std::uint32_t>(snapshot.fuBusyUntil.size()));
-  for (const std::uint64_t busy : snapshot.fuBusyUntil) w.U64(busy);
+  EncodeIndexList(w, pipeline.loadBuffer, table);
+  EncodeIndexList(w, pipeline.storeBuffer, table);
+  EncodeIndexList(w, pipeline.fuCurrent, table);
+  w.U32(static_cast<std::uint32_t>(pipeline.fuBusyUntil.size()));
+  for (const std::uint64_t busy : pipeline.fuBusyUntil) w.U64(busy);
 
   // Architectural registers.
   for (const std::uint64_t cell : snapshot.arch.x) w.U64(cell);
@@ -589,42 +585,52 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
     snapshot.ffSeed = seed;
   }
 
-  // In-flight table.
+  // In-flight table: entry i becomes pool slot i, and the free list stays
+  // empty — the imported pool holds exactly the live instructions.
   const std::uint32_t renameCount = config.memory.renameRegisterCount;
   const std::uint32_t tableCount = r.Count(40);
-  std::vector<core::InFlightPtr> table;
-  table.reserve(tableCount);
-  for (std::uint32_t i = 0; i < tableCount; ++i) {
-    RVSS_ASSIGN_OR_RETURN(core::InFlightPtr inst,
-                          DecodeInFlight(r, program, renameCount));
-    table.push_back(std::move(inst));
+  if (r.ok() && tableCount > core::PipelineState::Capacity(config)) {
+    return CodecError("in-flight table larger than the pipeline can hold");
   }
+  core::PipelineState& pipeline = snapshot.pipeline;
+  pipeline.pool.resize(tableCount);
+  for (core::InFlight& inst : pipeline.pool) {
+    RVSS_RETURN_IF_ERROR(DecodeInFlight(r, program, renameCount, inst));
+  }
+  std::vector<bool> referenced(tableCount, false);
   // StageFetch tops the queue up by one fetch group past the width check,
   // so the live fetch queue can briefly hold up to 2*fetchWidth - 1.
   RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, std::size_t{2} * config.buffers.fetchWidth,
-      snapshot.fetchQueue));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, table, false,
-                                       config.buffers.robSize, snapshot.rob));
-  for (auto& window : snapshot.windows) {
+      r, referenced, false, std::size_t{2} * config.buffers.fetchWidth,
+      pipeline.fetchQueue));
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+                                       config.buffers.robSize, pipeline.rob));
+  for (auto& window : pipeline.windows) {
     RVSS_RETURN_IF_ERROR(DecodeIndexList(
-        r, table, false, config.buffers.issueWindowSize, window));
+        r, referenced, false, config.buffers.issueWindowSize, window));
   }
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, config.memory.loadBufferSize, snapshot.loadBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, table, false, config.memory.storeBufferSize, snapshot.storeBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, table, true,
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+                                       config.memory.loadBufferSize,
+                                       pipeline.loadBuffer));
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+                                       config.memory.storeBufferSize,
+                                       pipeline.storeBuffer));
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, true,
                                        config.functionalUnits.size(),
-                                       snapshot.fuCurrent));
+                                       pipeline.fuCurrent));
+  // An entry no container holds would be a slot neither live nor free.
+  if (r.ok() && std::find(referenced.begin(), referenced.end(), false) !=
+                    referenced.end()) {
+    return CodecError("in-flight table entry referenced by no container");
+  }
   const std::uint32_t fuCount = r.Count(8);
-  if (r.ok() && (snapshot.fuCurrent.size() != config.functionalUnits.size() ||
+  if (r.ok() && (pipeline.fuCurrent.size() != config.functionalUnits.size() ||
                  fuCount != config.functionalUnits.size())) {
     return CodecError("functional-unit count does not match configuration");
   }
-  snapshot.fuBusyUntil.reserve(fuCount);
+  pipeline.fuBusyUntil.reserve(fuCount);
   for (std::uint32_t i = 0; i < fuCount; ++i) {
-    snapshot.fuBusyUntil.push_back(r.U64());
+    pipeline.fuBusyUntil.push_back(r.U64());
   }
 
   // Architectural registers.

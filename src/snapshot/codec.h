@@ -18,10 +18,11 @@
 //     configuration, so even a blob crafted to pass the checksum cannot
 //     produce out-of-bounds state.
 //
-// In-flight instructions are encoded as a deduplicated table plus index
-// lists per pipeline container, preserving the aliasing RestoreState
-// relies on (one instruction sitting in the ROB and a load buffer decodes
-// back into one shared object).
+// In-flight instructions are encoded as a table of the pool slots the
+// containers hold, in first-seen order, plus index lists per pipeline
+// container. Decode puts table entry i in pool slot i, so an instruction
+// sitting in the ROB and a load buffer decodes back into one slot held by
+// both, and the decoded pool has no free slots.
 //
 // The config hash covers the state-shaping configuration only: checkpoint
 // settings and the display name are normalized away, so a server may

@@ -1,6 +1,8 @@
 // rvcc compiler tests: the paper's integration workloads (quicksort,
 // linked list, dynamic dispatch) in C, plus language-feature cases run on
 // the golden-model ISS at every optimization level.
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "cc/compiler.h"
@@ -308,26 +310,31 @@ std::string Repeat(const std::string& text, int count) {
 }
 
 TEST(Diagnostics, DeepNestingIsAParseErrorNotAStackOverflow) {
-  const std::string sources[] = {
-      "int main(){ return " + Repeat("(", 5000) + "1" + Repeat(")", 5000) +
-          "; }",
+  const std::string kTooDeep = "nesting deeper than 256";
+  const std::string kTooLong =
+      "expression too long: more than 256 chained operators";
+  const std::pair<std::string, std::string> cases[] = {
+      {"int main(){ return " + Repeat("(", 5000) + "1" + Repeat(")", 5000) +
+           "; }",
+       kTooDeep},
       // Parsed iteratively, but the left-deep tree it builds is as deep as
       // the chain is long: the optimizer and codegen recurse over it.
-      "int main(){ return 1" + Repeat("+1", 19999) + "; }",
-      "int main(){ " + Repeat("{", 20000) + Repeat("}", 20000) +
-          " return 0; }",
-      "int main(){ return " + Repeat("-", 20000) + "1; }",
-      "int main(){ int " + Repeat("*", 20000) + "p; return 0; }",
-      "struct S { struct S* n; }; int main(){ struct S* p = 0; return p" +
-          Repeat("->n", 20000) + " == 0; }",
+      {"int main(){ return 1" + Repeat("+1", 19999) + "; }", kTooLong},
+      {"int main(){ " + Repeat("{", 20000) + Repeat("}", 20000) +
+           " return 0; }",
+       kTooDeep},
+      {"int main(){ return " + Repeat("-", 20000) + "1; }", kTooDeep},
+      {"int main(){ int " + Repeat("*", 20000) + "p; return 0; }", kTooDeep},
+      {"struct S { struct S* n; }; int main(){ struct S* p = 0; return p" +
+           Repeat("->n", 20000) + " == 0; }",
+       kTooLong},
   };
-  for (const std::string& source : sources) {
+  for (const auto& [source, message] : cases) {
     auto result = Compile(source);
     ASSERT_FALSE(result.ok()) << source.substr(0, 40);
     EXPECT_EQ(result.error().kind, ErrorKind::kParse);
-    EXPECT_NE(result.error().message.find("nesting deeper than 256"),
-              std::string::npos)
-        << result.error().message;
+    EXPECT_NE(result.error().message.find(message), std::string::npos)
+        << source.substr(0, 40) << ": " << result.error().message;
   }
 }
 

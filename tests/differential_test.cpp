@@ -32,6 +32,7 @@
 #include "shard/router.h"
 #include "shard/transport.h"
 #include "shard/worker.h"
+#include "snapshot/codec.h"
 #include "snapshot/session.h"
 #include "test_util.h"
 
@@ -383,6 +384,88 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MigrationSeamFuzz,
                            return "seed" + std::to_string(info.param.seed) +
                                   "_" + info.param.configName;
                          });
+
+// ---- in-flight pool accounting ---------------------------------------------
+
+/// Steps `source` to completion and drives every seam that replaces the
+/// pipeline wholesale — StepBack, SeekTo, RestoreState, snapshot decode and
+/// session import — checking the pool's accounting after each cycle and
+/// each seam.
+void CheckPoolAccounting(const std::string& source,
+                         config::CpuConfig config) {
+  config.checkpoint.intervalCycles = 64;
+  auto created = core::Simulation::Create(config, source, {{}, "main"});
+  ASSERT_TRUE(created.ok()) << created.error().ToText();
+  core::Simulation& sim = *created.value();
+  auto check = [&config](const core::PipelineState& pipeline,
+                         const std::string& label) {
+    testutil::ExpectPoolAccounting(pipeline, config, label);
+  };
+
+  while (sim.status() == core::SimStatus::kRunning && sim.cycle() < 200'000) {
+    sim.Step();
+    check(sim.pipeline(), "cycle " + std::to_string(sim.cycle()));
+    if (::testing::Test::HasFailure()) return;
+  }
+  ASSERT_EQ(sim.status(), core::SimStatus::kFinished);
+  const std::uint64_t total = sim.cycle();
+  ASSERT_GT(total, 8u);
+
+  ASSERT_TRUE(sim.SeekTo(total / 2).ok());
+  check(sim.pipeline(), "SeekTo " + std::to_string(total / 2));
+  const core::SimSnapshot middle = sim.SaveState();
+  check(middle.pipeline, "SaveState");
+  ASSERT_TRUE(sim.StepBack().ok());
+  check(sim.pipeline(), "StepBack");
+  ASSERT_TRUE(sim.SeekTo(total / 3).ok());
+  check(sim.pipeline(), "SeekTo " + std::to_string(total / 3));
+  sim.RestoreState(middle);
+  check(sim.pipeline(), "RestoreState");
+
+  const snapshot::CodecContext context{&sim.config(), &sim.program()};
+  auto decoded =
+      snapshot::DecodeSnapshot(snapshot::EncodeSnapshot(middle, context),
+                               context);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToText();
+  check(decoded.value().pipeline, "decode");
+  EXPECT_TRUE(decoded.value().pipeline.freeList.empty());
+
+  auto imported = snapshot::ImportSessionBlob(snapshot::EncodeSessionBlob(
+      sim, snapshot::MakeIdentity(sim, source, "main", "")));
+  ASSERT_TRUE(imported.ok()) << imported.error().ToText();
+  core::Simulation& resumed = *imported.value().sim;
+  check(resumed.pipeline(), "import");
+  while (resumed.status() == core::SimStatus::kRunning) {
+    resumed.Step();
+    check(resumed.pipeline(),
+          "imported, cycle " + std::to_string(resumed.cycle()));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(resumed.cycle(), total);
+}
+
+class PoolAccounting : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(PoolAccounting, SlotsBalanceAcrossCyclesAndSeams) {
+  const DiffCase& param = GetParam();
+  CheckPoolAccounting(ref::GenerateProgram(param.seed),
+                      ConfigByName(param.configName));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolAccounting,
+                         ::testing::ValuesIn(MakeCases()),
+                         [](const ::testing::TestParamInfo<DiffCase>& info) {
+                           return "seed" + std::to_string(info.param.seed) +
+                                  "_" + info.param.configName;
+                         });
+
+TEST(PoolAccountingFlushHeavy, BranchyMemoryKernel) {
+  for (const char* name :
+       {"default", "scalar", "wide", "tiny", "random_cache"}) {
+    SCOPED_TRACE(name);
+    CheckPoolAccounting(testutil::kBranchyMemory, ConfigByName(name));
+  }
+}
 
 TEST(Progen, GeneratedProgramsAreDeterministic) {
   EXPECT_EQ(ref::GenerateProgram(5), ref::GenerateProgram(5));

@@ -5,6 +5,7 @@
 // server's exportSession/importSession commands including the
 // SimServer::Limits checkpoint-budget override, and the CLI
 // --save-snapshot/--load-snapshot flags.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -20,45 +21,13 @@
 #include "server/state_renderer.h"
 #include "snapshot/codec.h"
 #include "snapshot/session.h"
+#include "snapshot/wire.h"
 #include "test_util.h"
 
 namespace rvss::snapshot {
 namespace {
 
-/// Branchy loads/stores: mispredicts, flushes and memory traffic keep the
-/// pipeline full of aliased in-flight state — the hard case for the codec.
-const char* kBranchyMemory = R"(
-main:
-    li s0, 0
-    li s1, 24
-outer:
-    li t0, 16
-    addi t1, sp, -256
-fill:
-    mul t2, t0, s1
-    sw t2, 0(t1)
-    addi t1, t1, 4
-    addi t0, t0, -1
-    bnez t0, fill
-    li t0, 16
-    addi t1, sp, -256
-scan:
-    lw t2, 0(t1)
-    andi t3, t2, 1
-    beqz t3, even
-    add s0, s0, t2
-    j next
-even:
-    sub s0, s0, t2
-next:
-    addi t1, t1, 4
-    addi t0, t0, -1
-    bnez t0, scan
-    addi s1, s1, -1
-    bnez s1, outer
-    mv a0, s0
-    ret
-)";
+using testutil::kBranchyMemory;
 
 config::CpuConfig TestConfig(std::uint64_t intervalCycles = 32) {
   config::CpuConfig config = config::DefaultConfig();
@@ -168,29 +137,107 @@ TEST(SnapshotCodec, EncodeIsDeterministic) {
 
 TEST(SnapshotCodec, PreservesInFlightAliasing) {
   // A load sits in the ROB and the load buffer simultaneously; after a
-  // decode round trip both containers must reference one object, so a
-  // mutation through one is visible through the other (RestoreState's
-  // cloning depends on this to keep the pipeline consistent).
+  // decode round trip both containers must hold the same pool slot, so a
+  // mutation through one is visible through the other.
   auto sim = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(sim, nullptr);
-  for (int step = 0; step < 2000 && sim->loadBuffer().empty(); ++step) {
+  for (int step = 0; step < 2000 && sim->pipeline().loadBuffer.empty();
+       ++step) {
     sim->Step();
   }
-  ASSERT_FALSE(sim->loadBuffer().empty()) << "no load in flight";
+  ASSERT_FALSE(sim->pipeline().loadBuffer.empty()) << "no load in flight";
 
   const CodecContext context{&sim->config(), &sim->program()};
   auto decoded = DecodeSnapshot(EncodeSnapshot(sim->SaveState(), context),
                                 context);
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToText();
-  const core::SimSnapshot& snapshot = decoded.value();
-  ASSERT_FALSE(snapshot.loadBuffer.empty());
-  const core::InFlightPtr& load = snapshot.loadBuffer.front();
-  bool aliased = false;
-  for (const core::InFlightPtr& inst : snapshot.rob) {
-    if (inst.get() == load.get()) aliased = true;
+  const core::PipelineState& pipeline = decoded.value().pipeline;
+  ASSERT_FALSE(pipeline.loadBuffer.empty());
+  const core::Slot load = pipeline.loadBuffer.front();
+  EXPECT_NE(std::find(pipeline.rob.begin(), pipeline.rob.end(), load),
+            pipeline.rob.end())
+      << "load-buffer entry is not the same slot as its ROB entry";
+  EXPECT_TRUE(pipeline.freeList.empty());
+}
+
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
   }
-  EXPECT_TRUE(aliased)
-      << "load-buffer entry is not the same object as its ROB entry";
+  return hash;
+}
+
+TEST(SnapshotCodec, V3BytesUnchangedByPoolRefactor) {
+  // FNV-1a of the snapshot encoding, the full session blob and the delta
+  // session blob at fixed mid-flight points, recorded when in-flight
+  // instructions were still shared_ptr-aliased objects. Every point has
+  // loads in the load buffer and committed stores still draining; the
+  // last one is a fast-forwarded timeline. A change to how the pipeline
+  // holds its instructions must not move a single wire byte.
+  struct Pin {
+    const char* name;
+    config::CpuConfig config;
+    std::uint64_t fastForward;
+    std::uint64_t cycle;
+    std::uint64_t snapshotHash;
+    std::uint64_t sessionHash;
+    std::uint64_t deltaSessionHash;
+  };
+  const Pin pins[] = {
+      {"default@137", TestConfig(), 0, 137,
+       0x1bef3ffa07a4d7acull, 0x84b17f79e169a69cull,
+       0xf112c6f86852aec0ull},
+      {"default@402", TestConfig(), 0, 402,
+       0x7e30d5f8d62cb33full, 0xb7cb84bea273be25ull,
+       0x803caf8550d83dcbull},
+      {"wide@552", [] {
+         config::CpuConfig c = config::WideConfig();
+         c.checkpoint.intervalCycles = 32;
+         return c;
+       }(), 0, 552,
+       0xb8057e66dd65e049ull, 0x6b9a8501d663de54ull,
+       0x21d0f4274a5385f3ull},
+      {"scalar@250", [] {
+         config::CpuConfig c = config::ScalarConfig();
+         c.checkpoint.intervalCycles = 32;
+         return c;
+       }(), 0, 250,
+       0xc564e481c429a27bull, 0x14ccb6f73e311f79ull,
+       0x8c2b082e8c3d1156ull},
+      {"nocache@401", [] {
+         config::CpuConfig c = config::NoCacheConfig();
+         c.checkpoint.intervalCycles = 32;
+         return c;
+       }(), 0, 401,
+       0x8054e48918c571c0ull, 0xe539dbb9a47c3126ull,
+       0xda6c261d1941aa53ull},
+      {"default+ff300@434", TestConfig(), 300, 434,
+       0xd9d3ddf590d943fbull, 0x67e6d6b1217ce610ull,
+       0x68ccb41f786940deull},
+  };
+  for (const Pin& pin : pins) {
+    auto sim = MustCreate(kBranchyMemory, pin.config);
+    ASSERT_NE(sim, nullptr) << pin.name;
+    if (pin.fastForward > 0) {
+      ASSERT_TRUE(sim->FastForwardTo(pin.fastForward).ok()) << pin.name;
+    }
+    StepN(*sim, pin.cycle);
+    ASSERT_EQ(sim->cycle(), pin.cycle) << pin.name;
+    const CodecContext context{&sim->config(), &sim->program()};
+    const SessionIdentity identity =
+        MakeIdentity(*sim, kBranchyMemory, "main", "");
+    SessionBlobOptions deltaOptions;
+    deltaOptions.delta = true;
+    EXPECT_EQ(Fnv1a64(EncodeSnapshot(sim->SaveState(), context)),
+              pin.snapshotHash)
+        << pin.name;
+    EXPECT_EQ(Fnv1a64(EncodeSessionBlob(*sim, identity)), pin.sessionHash)
+        << pin.name;
+    EXPECT_EQ(Fnv1a64(EncodeSessionBlob(*sim, identity, deltaOptions)),
+              pin.deltaSessionHash)
+        << pin.name;
+  }
 }
 
 // ---- hostile input ----------------------------------------------------------
@@ -282,13 +329,15 @@ TEST(SnapshotCodec, RejectsDuplicateAndOversizedContainers) {
   // produces exactly such a blob.
   auto sim = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(sim, nullptr);
-  for (int step = 0; step < 2000 && sim->rob().empty(); ++step) sim->Step();
-  ASSERT_FALSE(sim->rob().empty());
+  for (int step = 0; step < 2000 && sim->pipeline().rob.empty(); ++step) {
+    sim->Step();
+  }
+  ASSERT_FALSE(sim->pipeline().rob.empty());
   const CodecContext context{&sim->config(), &sim->program()};
 
   // The same instruction twice in one container (would double-commit).
   core::SimSnapshot duplicated = sim->SaveState();
-  duplicated.rob.push_back(duplicated.rob.front());
+  duplicated.pipeline.rob.push_back(duplicated.pipeline.rob.front());
   auto dupDecoded = DecodeSnapshot(EncodeSnapshot(duplicated, context),
                                    context);
   ASSERT_FALSE(dupDecoded.ok());
@@ -296,14 +345,101 @@ TEST(SnapshotCodec, RejectsDuplicateAndOversizedContainers) {
 
   // A ROB beyond its configured capacity.
   core::SimSnapshot oversized = sim->SaveState();
-  while (oversized.rob.size() <= sim->config().buffers.robSize) {
-    oversized.rob.push_back(
-        std::make_shared<core::InFlight>(*oversized.rob.front()));
+  core::PipelineState& pipeline = oversized.pipeline;
+  while (pipeline.rob.size() <= sim->config().buffers.robSize) {
+    const core::Slot slot = pipeline.Allocate();
+    pipeline[slot] = pipeline[pipeline.rob.front()];
+    pipeline.rob.push_back(slot);
   }
   auto bigDecoded = DecodeSnapshot(EncodeSnapshot(oversized, context),
                                    context);
   ASSERT_FALSE(bigDecoded.ok());
   EXPECT_NE(bigDecoded.error().message.find("capacity"), std::string::npos);
+}
+
+TEST(SnapshotCodec, RejectsInFlightTableLargerThanThePipeline) {
+  // Every container within its own capacity, but together more in-flight
+  // instructions than the pipeline can hold at once: fill the fetch queue
+  // and every issue window with instructions of their own (as the ROB is,
+  // at its capacity). The table alone is then past the pool cap.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  for (int step = 0; step < 2000 && sim->pipeline().rob.empty(); ++step) {
+    sim->Step();
+  }
+  ASSERT_FALSE(sim->pipeline().rob.empty());
+  const config::CpuConfig& config = sim->config();
+  const CodecContext context{&config, &sim->program()};
+
+  core::SimSnapshot doctored = sim->SaveState();
+  core::PipelineState& pipeline = doctored.pipeline;
+  const core::InFlight model = pipeline[pipeline.rob.front()];
+  auto fill = [&](auto& container, std::size_t size) {
+    while (container.size() < size) {
+      const core::Slot slot = pipeline.Allocate();
+      pipeline[slot] = model;
+      container.push_back(slot);
+    }
+  };
+  fill(pipeline.rob, config.buffers.robSize);
+  fill(pipeline.fetchQueue, 2 * std::size_t{config.buffers.fetchWidth});
+  for (auto& window : pipeline.windows) {
+    fill(window, config.buffers.issueWindowSize);
+  }
+  fill(pipeline.storeBuffer, config.memory.storeBufferSize);
+  ASSERT_GT(pipeline.pool.size() - pipeline.freeList.size(),
+            core::PipelineState::Capacity(config));
+
+  auto decoded = DecodeSnapshot(EncodeSnapshot(doctored, context), context);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find(
+                "in-flight table larger than the pipeline can hold"),
+            std::string::npos)
+      << decoded.error().message;
+}
+
+TEST(SnapshotCodec, RejectsInFlightEntryNoContainerHolds) {
+  // Re-point the fetch queue's last entry at a ROB instruction: the table
+  // entry it held is then referenced by no container, a slot that would
+  // be neither live nor free. The payload checksum is recomputed, so only
+  // the structural check stands in the way.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  for (int step = 0; step < 2000 && (sim->pipeline().fetchQueue.size() < 2 ||
+                                     sim->pipeline().rob.empty());
+       ++step) {
+    sim->Step();
+  }
+  const std::uint32_t queued =
+      static_cast<std::uint32_t>(sim->pipeline().fetchQueue.size());
+  ASSERT_GE(queued, 2u);
+  ASSERT_FALSE(sim->pipeline().rob.empty());
+  const CodecContext context{&sim->config(), &sim->program()};
+  std::string blob = EncodeSnapshot(sim->SaveState(), context);
+
+  // The fetch queue is visited first, so on the wire it lists entries
+  // 0..queued-1, and the ROB's list that follows starts at entry `queued`.
+  Writer lists;
+  lists.U32(queued);
+  for (std::uint32_t i = 0; i < queued; ++i) lists.U32(i);
+  lists.U32(static_cast<std::uint32_t>(sim->pipeline().rob.size()));
+  lists.U32(queued);
+  const std::size_t at = blob.find(lists.out());
+  ASSERT_NE(at, std::string::npos);
+  Writer robEntry;
+  robEntry.U32(queued);
+  blob.replace(at + 4 * queued, 4, robEntry.out());
+  constexpr std::size_t kPayloadHashOffset = 24;
+  constexpr std::size_t kHeaderBytes = 40;
+  Writer checksum;
+  checksum.U64(Fnv1a64(std::string_view(blob).substr(kHeaderBytes)));
+  blob.replace(kPayloadHashOffset, 8, checksum.out());
+
+  auto decoded = DecodeSnapshot(blob, context);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find("referenced by no container"),
+            std::string::npos)
+      << decoded.error().message;
 }
 
 TEST(SnapshotCodec, RejectsDuplicateFreeListTags) {

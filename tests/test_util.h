@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,88 @@ inline unsigned Reg(const char* name) {
   auto id = isa::ParseRegisterName(name);
   EXPECT_TRUE(id.has_value()) << name;
   return id ? id->index : 0;
+}
+
+/// Branchy loads/stores: mispredicts, flushes and memory traffic keep the
+/// pipeline full of in-flight state held by several containers at once —
+/// the hard case for the snapshot codec and the in-flight pool.
+inline constexpr const char* kBranchyMemory = R"(
+main:
+    li s0, 0
+    li s1, 24
+outer:
+    li t0, 16
+    addi t1, sp, -256
+fill:
+    mul t2, t0, s1
+    sw t2, 0(t1)
+    addi t1, t1, 4
+    addi t0, t0, -1
+    bnez t0, fill
+    li t0, 16
+    addi t1, sp, -256
+scan:
+    lw t2, 0(t1)
+    andi t3, t2, 1
+    beqz t3, even
+    add s0, s0, t2
+    j next
+even:
+    sub s0, s0, t2
+next:
+    addi t1, t1, 4
+    addi t0, t0, -1
+    bnez t0, scan
+    addi s1, s1, -1
+    bnez s1, outer
+    mv a0, s0
+    ret
+)";
+
+/// Asserts the in-flight pool's accounting (core::PipelineState): every
+/// live slot is held by some container, no container holds a free slot,
+/// the free list holds no slot twice, and the pool stays within its
+/// structural cap. A stale slot index is invisible to sanitizers, so this
+/// is the check that catches one.
+inline void ExpectPoolAccounting(const core::PipelineState& pipeline,
+                                 const config::CpuConfig& config,
+                                 const std::string& label) {
+  enum : char { kUnseen, kFree, kHeld };
+  std::vector<char> state(pipeline.pool.size(), kUnseen);
+  for (const core::Slot slot : pipeline.freeList) {
+    ASSERT_LT(slot, state.size()) << label << ": free slot out of range";
+    ASSERT_EQ(state[slot], kUnseen) << label << ": slot " << slot
+                                    << " is on the free list twice";
+    state[slot] = kFree;
+  }
+  std::size_t held = 0;
+  auto visit = [&](core::Slot slot, const char* container) {
+    if (slot == core::kNoSlot) return;
+    ASSERT_LT(slot, state.size()) << label << ": " << container
+                                  << " holds an out-of-range slot";
+    ASSERT_NE(state[slot], kFree)
+        << label << ": " << container << " holds free slot " << slot;
+    if (state[slot] == kUnseen) {
+      state[slot] = kHeld;
+      ++held;
+    }
+  };
+  for (const core::Slot slot : pipeline.fetchQueue) visit(slot, "fetch queue");
+  for (const core::Slot slot : pipeline.rob) visit(slot, "ROB");
+  for (const auto& window : pipeline.windows) {
+    for (const core::Slot slot : window) visit(slot, "issue window");
+  }
+  for (const core::Slot slot : pipeline.loadBuffer) visit(slot, "load buffer");
+  for (const core::Slot slot : pipeline.storeBuffer) {
+    visit(slot, "store buffer");
+  }
+  for (const core::Slot slot : pipeline.fuCurrent) {
+    visit(slot, "functional unit");
+  }
+  EXPECT_EQ(pipeline.pool.size() - pipeline.freeList.size(), held)
+      << label << ": live slots differ from the slots containers hold";
+  EXPECT_LE(pipeline.pool.size(), core::PipelineState::Capacity(config))
+      << label << ": pool grew past its structural cap";
 }
 
 }  // namespace rvss::testutil
