@@ -1,10 +1,12 @@
 // Snapshot subsystem benchmarks: codec encode/decode throughput, session
-// blob size/compression, and full-vs-delta checkpoint ring bytes.
+// blob size/compression, and checkpoint ring bytes against whole-image
+// snapshots.
 //
 // The codec throughput bounds how fast sessions can migrate between
-// server processes; the ring-bytes comparison quantifies the page-delta
-// claim (memory images dominate snapshot size, so storing only dirtied
-// pages shrinks the ring by roughly the clean-page fraction).
+// server processes; the ring-bytes comparison quantifies the page claim
+// (memory images dominate snapshot size, so storing only the pages
+// dirtied since the load image shrinks the ring by roughly the clean-page
+// fraction).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,13 +52,12 @@ even:
     ret
 )";
 
-config::CpuConfig BenchConfig(bool deltaPages) {
+config::CpuConfig BenchConfig() {
   config::CpuConfig config = config::DefaultConfig();
   config.memory.sizeBytes = 4 << 20;  // 4 MiB: memory dominates snapshots
   config.checkpoint.intervalCycles = 256;
-  config.checkpoint.deltaPages = deltaPages;
-  // The ring comparison measures what each mode *deposits*; a tight budget
-  // would evict both modes down to the same ceiling and hide the ratio.
+  // The ring comparison measures what is *deposited*; a tight budget would
+  // evict down to its ceiling and hide the ratio.
   config.checkpoint.maxTotalBytes = 1ull << 30;
   return config;
 }
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("snapshot", argc, argv);
 
   // --- encode / decode throughput -------------------------------------------
-  auto sim = core::Simulation::Create(BenchConfig(true), kWorkload, {{}, "main"});
+  auto sim = core::Simulation::Create(BenchConfig(), kWorkload, {{}, "main"});
   if (!sim.ok()) {
     std::fprintf(stderr, "create failed: %s\n", sim.error().ToText().c_str());
     return 1;
@@ -77,8 +78,11 @@ int main(int argc, char** argv) {
   core::Simulation& simulation = *sim.value();
   simulation.Run(20'000);
 
-  const snapshot::CodecContext context{&simulation.config(),
-                                       &simulation.program()};
+  // Decode against the load image, as an import does: the full image is
+  // diffed into the pages that differ from it.
+  snapshot::CodecContext context{&simulation.config(), &simulation.program()};
+  context.base = simulation.memorySystem().memory().base();
+  context.baseEpoch = simulation.memoryBaseEpoch();
   const core::SimSnapshot state = simulation.SaveState();
 
   constexpr int kReps = 20;
@@ -121,31 +125,23 @@ int main(int argc, char** argv) {
                   static_cast<double>(session.size()),
               sessionSeconds * 1e3);
 
-  // --- full vs delta checkpoint ring ----------------------------------------
-  std::printf("\n# checkpoint ring bytes after 20k cycles (interval 256, 1 GiB budget)\n");
-  std::printf("%-12s %12s %8s %8s %14s\n", "mode", "ring_bytes", "full",
-              "delta", "bytes/ckpt");
-  std::size_t fullBytes = 0;
-  std::size_t deltaBytes = 0;
-  for (const bool deltaPages : {false, true}) {
-    auto run = core::Simulation::Create(BenchConfig(deltaPages), kWorkload,
-                                        {{}, "main"});
-    if (!run.ok()) return 1;
-    run.value()->Run(20'000);
-    const core::CheckpointRing& ring = run.value()->checkpoints();
-    (deltaPages ? deltaBytes : fullBytes) = ring.totalBytes();
-    std::printf("%-12s %12zu %8zu %8zu %14zu\n",
-                deltaPages ? "delta-pages" : "full-only", ring.totalBytes(),
-                ring.fullCheckpointCount(), ring.deltaCheckpointCount(),
-                ring.totalBytes() / (ring.checkpointCount() == 0
-                                         ? 1
-                                         : ring.checkpointCount()));
-  }
-  if (deltaBytes > 0) {
-    const double reduction = static_cast<double>(fullBytes) /
-                             static_cast<double>(deltaBytes);
-    std::printf("\nring-bytes reduction: %.1fx\n", reduction);
-    report.Set("ring_reduction_x", reduction);
-  }
+  // --- checkpoint ring vs whole-image snapshots ------------------------------
+  // Each checkpoint holds the pages dirtied since the load image; a
+  // whole-image snapshot would hold the state without pages plus the image.
+  const core::CheckpointRing& ring = simulation.checkpoints();
+  core::SimSnapshot whole = simulation.SaveState();
+  whole.memory.memory = {};
+  const std::size_t wholeBytes =
+      ring.checkpointCount() *
+      (whole.SizeBytes() + simulation.config().memory.sizeBytes);
+  std::printf("\n# checkpoint ring after 20k cycles (interval 256, 1 GiB budget)\n");
+  std::printf("%-22s %12zu\n", "checkpoints", ring.checkpointCount());
+  std::printf("%-22s %12zu bytes (%zu per checkpoint)\n", "ring",
+              ring.totalBytes(), ring.totalBytes() / ring.checkpointCount());
+  std::printf("%-22s %12zu bytes\n", "whole-image snapshots", wholeBytes);
+  const double reduction = static_cast<double>(wholeBytes) /
+                           static_cast<double>(ring.totalBytes());
+  std::printf("\nring-bytes reduction: %.1fx\n", reduction);
+  report.Set("ring_reduction_x", reduction);
   return 0;
 }

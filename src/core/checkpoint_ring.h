@@ -1,5 +1,4 @@
-// Checkpoint ring: bounded store of full and page-delta simulation
-// snapshots.
+// Checkpoint ring: bounded store of simulation snapshots.
 //
 // The paper implements backward simulation (§III-B) as deterministic
 // re-execution from reset — O(n) per backward step. The ring turns that
@@ -10,21 +9,16 @@
 // (program, config, seed) triple, snapshots taken on a previous pass stay
 // valid after seeking backward, so forward scrubbing can reuse them too.
 //
-// Entries come in two flavours. *Full* entries own a complete SimSnapshot.
-// *Delta* entries store everything except the memory image plus only the
-// 4 KiB pages dirtied since the most recent full snapshot (which they
-// patch on materialization). Memory images dominate snapshot size, so
-// deltas shrink ring bytes by roughly the clean-page fraction — 5-100x on
-// typical workloads. Deltas patch the full base directly (no chaining), so
-// any delta can be evicted independently.
+// Every entry is a plain SimSnapshot. Its memory is the pages dirtied
+// since the load image (see memory::MainMemory::State), so an entry costs
+// the working set, not the whole memory; the image itself is shared.
 //
+// The simulation keeps an *origin* entry in the ring at all times: cycle
+// 0, the post-fast-forward state, or a fast-forwarded import's anchor.
 // Memory is bounded: entries carry their approximate byte size and the
-// oldest entries are evicted once `maxTotalBytes` is exceeded. Pinned and
-// never evicted: the cycle-0 base snapshot (Reset's restore point), the
-// newest entry, and any full snapshot still patched by a live delta entry.
-// With adaptive mode on, evictions double the effective interval (up to
-// 1024x the configured one) so a too-small budget stretches checkpoint
-// spacing instead of thrashing.
+// oldest entries are evicted once `maxTotalBytes` is exceeded, except the
+// two that are pinned — the oldest entry (the origin: Reset's restore
+// point and the start of every long replay) and the newest.
 #pragma once
 
 #include <cstdint>
@@ -35,102 +29,48 @@ namespace rvss::core {
 
 struct SimSnapshot;  // core/simulation.h
 
-/// One dirtied page captured by a delta checkpoint.
-struct DeltaPage {
-  std::uint32_t pageIndex = 0;
-  std::vector<std::uint8_t> bytes;  ///< page contents (last page may be short)
-};
-
-/// A checkpoint stored as a patch against a full snapshot: the complete
-/// non-memory state plus the memory pages that differ from `base`.
-struct DeltaCheckpoint {
-  /// The full snapshot whose memory image this delta patches. The
-  /// shared_ptr keeps the base alive even if its own ring entry is gone.
-  std::shared_ptr<const SimSnapshot> base;
-  /// Complete snapshot with the memory byte image emptied out.
-  std::shared_ptr<const SimSnapshot> rest;
-  std::vector<DeltaPage> pages;
-};
-
 class CheckpointRing {
  public:
   struct Entry {
     std::uint64_t cycle = 0;
     std::size_t bytes = 0;
-    std::shared_ptr<const SimSnapshot> snapshot;   ///< set for full entries
-    std::shared_ptr<const DeltaCheckpoint> delta;  ///< set for delta entries
-
-    bool IsFull() const { return snapshot != nullptr; }
+    std::shared_ptr<const SimSnapshot> snapshot;
   };
 
-  /// `intervalCycles == 0` disables automatic checkpointing (the simulator
-  /// falls back to the paper's re-execution-from-reset path).
+  /// `intervalCycles == 0` turns off automatic checkpoints; the origin
+  /// and manual checkpoints are still stored.
   CheckpointRing(std::uint64_t intervalCycles, std::size_t maxTotalBytes)
-      : intervalCycles_(intervalCycles),
-        effectiveIntervalCycles_(intervalCycles),
-        maxTotalBytes_(maxTotalBytes) {}
+      : intervalCycles_(intervalCycles), maxTotalBytes_(maxTotalBytes) {}
 
+  /// True when automatic checkpoints are on.
   bool enabled() const { return intervalCycles_ > 0; }
   std::uint64_t intervalCycles() const { return intervalCycles_; }
 
-  /// Grow the interval on budget pressure instead of churning evictions.
-  void SetAdaptive(bool adaptive) { adaptive_ = adaptive; }
-  bool adaptive() const { return adaptive_; }
-
-  /// The interval automatic checkpoints currently use: the configured one,
-  /// possibly grown by adaptive sizing.
-  std::uint64_t effectiveIntervalCycles() const {
-    return effectiveIntervalCycles_;
-  }
-
   /// True when the simulation should deposit a snapshot at `cycle`: the
-  /// ring is enabled, `cycle` lies on the (effective) interval grid and no
-  /// entry for it exists yet (replayed cycles do not re-snapshot).
+  /// ring is enabled, `cycle` lies on the interval grid and no entry for
+  /// it exists yet (replayed cycles do not re-snapshot).
   bool WantsCheckpoint(std::uint64_t cycle) const;
 
-  /// Inserts a full snapshot, keeping entries sorted by cycle; a duplicate
+  /// Inserts a snapshot, keeping entries sorted by cycle; a duplicate
   /// cycle is a no-op. Evicts oldest evictable entries beyond the budget.
   void Add(std::uint64_t cycle, std::size_t bytes,
            std::shared_ptr<const SimSnapshot> snapshot);
 
-  /// Inserts a delta checkpoint; same ordering/eviction rules as Add.
-  void AddDelta(std::uint64_t cycle, std::size_t bytes,
-                std::shared_ptr<const DeltaCheckpoint> delta);
-
   /// Newest entry with entry.cycle <= cycle, or nullptr when none exists.
   const Entry* FindAtOrBefore(std::uint64_t cycle) const;
 
-  /// The cycle-0 base entry, or nullptr before the first Add.
-  const Entry* base() const;
-
-  /// True while a full entry for `snapshot` is still stored. The
-  /// simulation stops minting deltas against an evicted base — otherwise
-  /// the base's memory image would stay alive (via the deltas' shared_ptr)
-  /// without being counted against the byte budget.
-  bool ContainsFull(const SimSnapshot* snapshot) const;
-
-  /// A restorable snapshot for `entry`: full entries return their snapshot
-  /// directly; delta entries copy the base memory image and apply the
-  /// dirty pages.
-  std::shared_ptr<const SimSnapshot> Materialize(const Entry& entry) const;
+  /// The oldest entry (the origin), or nullptr before the first Add.
+  const Entry* oldest() const;
 
   std::size_t checkpointCount() const { return entries_.size(); }
-  std::size_t fullCheckpointCount() const;
-  std::size_t deltaCheckpointCount() const;
   std::size_t totalBytes() const { return totalBytes_; }
   std::size_t maxTotalBytes() const { return maxTotalBytes_; }
 
   void Clear();
 
  private:
-  void Insert(Entry entry);
-  void EvictOverBudget();
-  bool HasDependentDelta(const SimSnapshot* base) const;
-
   std::uint64_t intervalCycles_;
-  std::uint64_t effectiveIntervalCycles_;
   std::size_t maxTotalBytes_;
-  bool adaptive_ = false;
   std::vector<Entry> entries_;  ///< sorted by cycle, ascending
   std::size_t totalBytes_ = 0;
 };

@@ -69,30 +69,20 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   std::unique_ptr<Simulation> sim(
       new Simulation(config, std::move(loaded)));
   sim->memory_ = std::move(memorySystem);
-  // Snapshot the loaded memory for the checkpoints-disabled ResetHard path.
-  sim->initialMemoryImage_.assign(sim->memory_->memory().bytes().begin(),
-                                  sim->memory_->memory().bytes().end());
-  // Base-epoch id for delta session blobs: any process Creating the same
-  // (config, program, arrays) reproduces this exact image, so the hash
-  // alone proves base availability across the wire.
-  {
-    std::uint64_t hash = 14695981039346656037ull;
-    for (std::uint8_t byte : sim->initialMemoryImage_) {
-      hash = (hash ^ byte) * 1099511628211ull;
-    }
-    sim->memoryBaseEpoch_ = hash;
+  // The load image becomes the base every snapshot's memory pages are
+  // described against. Any process Creating the same (config, program,
+  // arrays) reproduces it exactly, so its hash alone proves base
+  // availability across the wire.
+  memory::MainMemory& memory = sim->memory_->memory();
+  memory.Rebase();
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::uint8_t byte : *memory.base()) {
+    hash = (hash ^ byte) * 1099511628211ull;
   }
+  sim->memoryBaseEpoch_ = hash;
   sim->ResetHard();
-  if (sim->checkpoints_.enabled()) {
-    // The cycle-0 base checkpoint: Reset()'s restore point. It is pinned
-    // (never evicted), so it supersedes the raw memory image — keeping
-    // both would double the fixed per-session footprint.
-    sim->CaptureCheckpointNow();
-    sim->initialMemoryImage_.clear();
-    sim->initialMemoryImage_.shrink_to_fit();
-  }
-  // Memory provably equals the base image here; start delta tracking clean.
-  sim->memory_->memory().RebaseDirtyTracking();
+  // The origin entry: Reset()'s restore point, pinned in the ring.
+  sim->CaptureCheckpointNow();
   return sim;
 }
 
@@ -104,7 +94,6 @@ Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded
       rename_(config_.memory.renameRegisterCount),
       checkpoints_(config_.checkpoint.intervalCycles,
                    config_.checkpoint.maxTotalBytes) {
-  checkpoints_.SetAdaptive(config_.checkpoint.adaptiveInterval);
   // Instantiate functional units and their statistics slots.
   std::size_t statsIndex = 0;
   for (const config::FunctionalUnitConfig& fuConfig : config_.functionalUnits) {
@@ -135,22 +124,10 @@ Simulation::Simulation(config::CpuConfig config, assembler::LoadedProgram loaded
 
 void Simulation::Reset() {
   lastSeekReplayedCycles_ = 0;
-  if (earliestReachableCycle_ > 0) {
-    // Imported fast-forwarded session: cycle 0 of this timeline cannot be
-    // rebuilt here (the pre-import prefix lives in another process), so
-    // "reset" means the oldest state we can reconstruct.
-    (void)SeekTo(earliestReachableCycle_);
-    return;
-  }
-  if (const CheckpointRing::Entry* base = checkpoints_.base()) {
-    RestoreState(*checkpoints_.Materialize(*base));
-    return;
-  }
-  ResetHard();
+  RestoreState(*checkpoints_.oldest()->snapshot);
 }
 
 void Simulation::ResetHard() {
-  forceFullCheckpoint_ = true;
   cycle_ = 0;
   nextSeq_ = 1;
   pc_ = loaded_.program.entryPc;
@@ -175,12 +152,6 @@ void Simulation::ResetHard() {
   predictor_.Reset();
   log_.Clear();
 
-  if (memory_) {
-    memory_->Reset();
-    std::copy(initialMemoryImage_.begin(), initialMemoryImage_.end(),
-              memory_->memory().bytes().begin());
-  }
-
   stats_ = stats::SimulationStatistics{};
   stats_.unitUsage.clear();
   for (const FunctionalUnit& fu : fus_) {
@@ -189,10 +160,6 @@ void Simulation::ResetHard() {
   for (const assembler::Instruction& inst : loaded_.program.instructions) {
     ++stats_.staticMix[static_cast<std::size_t>(inst.def->type)];
   }
-
-  // A fast-forwarded timeline's cycle 0 is the post-skip state: the seed's
-  // registers/PC on top of the (re-imaged) post-skip memory.
-  if (ffSeed_.has_value()) ApplyFastForwardSeed(*ffSeed_);
 }
 
 void Simulation::ApplyFastForwardSeed(const FastForwardSeed& seed) {
@@ -275,18 +242,11 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
       break;
   }
 
-  // Rebase the cycle-0 restore points onto the post-fast-forward state:
-  // the skipped prefix is not part of this timeline, so Reset/SeekTo must
-  // never rebuild the pre-skip state.
-  if (checkpoints_.enabled()) {
-    checkpoints_.Clear();
-    forceFullCheckpoint_ = true;
-    CaptureCheckpointNow();
-  } else {
-    const std::span<const std::uint8_t> bytes =
-        std::as_const(memory_->memory()).bytes();
-    initialMemoryImage_.assign(bytes.begin(), bytes.end());
-  }
+  // The post-fast-forward state is this timeline's origin: the skipped
+  // prefix is not part of it, so Reset/SeekTo must never rebuild the
+  // pre-skip state.
+  checkpoints_.Clear();
+  CaptureCheckpointNow();
   return Status::Ok();
 }
 
@@ -296,7 +256,8 @@ Status Simulation::FastForwardTo(std::uint64_t instructionCount) {
 
 std::size_t SimSnapshot::SizeBytes() const {
   std::size_t bytes = sizeof(SimSnapshot);
-  bytes += memory.memory.bytes.capacity();
+  bytes += memory.memory.pages.capacity() * sizeof(std::uint32_t) +
+           memory.memory.pageBytes.capacity();
   if (memory.cache.has_value()) {
     bytes += memory.cache->lines.capacity() * sizeof(memory.cache->lines[0]);
   }
@@ -325,7 +286,7 @@ std::size_t SimSnapshot::SizeBytes() const {
   return bytes;
 }
 
-SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
+SimSnapshot Simulation::SaveState() const {
   SimSnapshot snapshot;
   snapshot.cycle = cycle_;
   snapshot.nextSeq = nextSeq_;
@@ -339,7 +300,7 @@ SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
   snapshot.arch = arch_.SaveState();
   snapshot.rename = rename_.SaveState();
   snapshot.predictor = predictor_.SaveState();
-  snapshot.memory = memory_->SaveState(includeMemoryImage);
+  snapshot.memory = memory_->SaveState();
   snapshot.stats = stats_.SaveState();
   snapshot.log = log_.SaveState();
   snapshot.ffSeed = ffSeed_;
@@ -347,17 +308,11 @@ SimSnapshot Simulation::SaveStateImpl(bool includeMemoryImage) const {
 }
 
 void Simulation::RestoreState(const SimSnapshot& snapshot) {
-  if (snapshot.ffSeed != ffSeed_) {
-    // The snapshot belongs to a differently-seeded timeline (an imported
-    // fast-forwarded session). Every restore point this process built so
-    // far — the Create-time base checkpoint, the pre-import ring, the
-    // initial memory image — describes the *pre*-fast-forward timeline and
-    // must never be replayed from again; the snapshot itself becomes the
-    // oldest reachable state.
-    ffSeed_ = snapshot.ffSeed;
-    checkpoints_.Clear();
-    earliestReachableCycle_ = snapshot.ffSeed.has_value() ? snapshot.cycle : 0;
-  }
+  // A differently-seeded timeline (an imported fast-forwarded session):
+  // every entry in the ring describes the other timeline and must never be
+  // replayed from again, so the snapshot becomes the origin.
+  const bool newTimeline = snapshot.ffSeed != ffSeed_;
+  ffSeed_ = snapshot.ffSeed;
   cycle_ = snapshot.cycle;
   nextSeq_ = snapshot.nextSeq;
   pc_ = snapshot.pc;
@@ -373,100 +328,26 @@ void Simulation::RestoreState(const SimSnapshot& snapshot) {
   memory_->RestoreState(snapshot.memory);
   stats_.RestoreState(snapshot.stats);
   log_.RestoreState(snapshot.log);
-
-  // The dirty-page accounting no longer describes this timeline; the next
-  // checkpoint must re-anchor with a full snapshot.
-  forceFullCheckpoint_ = true;
+  if (newTimeline) {
+    checkpoints_.Clear();
+    CaptureCheckpointNow();
+  }
 }
 
 void Simulation::CaptureCheckpointNow() {
-  // Skip the deep copy when this cycle is already in the ring (Add would
+  // Skip the copy when this cycle is already in the ring (Add would
   // discard the duplicate anyway).
   const CheckpointRing::Entry* existing = checkpoints_.FindAtOrBefore(cycle_);
   if (existing != nullptr && existing->cycle == cycle_) return;
-
-  // Fold the pages written since the previous capture into the
-  // dirty-since-last-full set, then decide full vs delta.
-  memory::MainMemory& mem = memory_->memory();
-  if (dirtySinceFull_.size() != mem.PageCount()) {
-    dirtySinceFull_.assign(mem.PageCount(), 1);
-  }
-  mem.FoldDirtyInto(dirtySinceFull_);
-
-  // A base evicted from the ring is no longer counted against the byte
-  // budget; minting further deltas against it would keep its memory image
-  // alive off the books.
-  if (lastFullCheckpoint_ != nullptr &&
-      !checkpoints_.ContainsFull(lastFullCheckpoint_.get())) {
-    lastFullCheckpoint_.reset();
-  }
-
-  bool full = !config_.checkpoint.deltaPages || forceFullCheckpoint_ ||
-              lastFullCheckpoint_ == nullptr ||
-              deltasSinceFull_ + 1 >= config_.checkpoint.fullSnapshotEvery;
-  std::size_t dirtyBytes = 0;
-  if (!full) {
-    for (std::uint32_t page = 0; page < mem.PageCount(); ++page) {
-      if (dirtySinceFull_[page] != 0) {
-        dirtyBytes += std::min<std::size_t>(memory::MainMemory::kPageSizeBytes,
-                                            mem.size() - page * memory::MainMemory::kPageSizeBytes);
-      }
-    }
-    // A delta patching most of memory is all cost and no savings.
-    if (dirtyBytes * 2 >= mem.size()) full = true;
-  }
-
-  if (full) {
-    auto snapshot = std::make_shared<const SimSnapshot>(SaveState());
-    const std::size_t bytes = snapshot->SizeBytes();
-    lastFullCheckpoint_ = snapshot;
-    deltasSinceFull_ = 0;
-    forceFullCheckpoint_ = false;
-    std::fill(dirtySinceFull_.begin(), dirtySinceFull_.end(), 0);
-    mem.ClearDirtyFlags();
-    checkpoints_.Add(cycle_, bytes, std::move(snapshot));
-    if (obs::Enabled()) {
-      static obs::Counter& fulls =
-          obs::Registry::Instance().GetCounter("sim.checkpointsFull");
-      static obs::Gauge& ringBytes =
-          obs::Registry::Instance().GetGauge("sim.checkpointRingBytes");
-      fulls.Increment();
-      ringBytes.Set(static_cast<double>(checkpoints_.totalBytes()));
-    }
-    return;
-  }
-
-  auto delta = std::make_shared<DeltaCheckpoint>();
-  delta->base = lastFullCheckpoint_;
-  SimSnapshot rest = SaveStateImpl(/*includeMemoryImage=*/false);
-  std::size_t bytes = rest.SizeBytes();
-  delta->rest = std::make_shared<const SimSnapshot>(std::move(rest));
-  const std::span<const std::uint8_t> memBytes =
-      std::as_const(mem).bytes();  // the mutable span marks all pages dirty
-  for (std::uint32_t page = 0; page < mem.PageCount(); ++page) {
-    if (dirtySinceFull_[page] == 0) continue;
-    const std::uint32_t begin = page * memory::MainMemory::kPageSizeBytes;
-    // 64-bit sum: begin + pageSize wraps uint32 when memory ends within a
-    // page of 4 GiB.
-    const std::uint32_t end = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(mem.size(),
-                                std::uint64_t{begin} +
-                                    memory::MainMemory::kPageSizeBytes));
-    DeltaPage deltaPage;
-    deltaPage.pageIndex = page;
-    deltaPage.bytes.assign(memBytes.begin() + begin, memBytes.begin() + end);
-    bytes += deltaPage.bytes.size() + sizeof(DeltaPage);
-    delta->pages.push_back(std::move(deltaPage));
-  }
-  ++deltasSinceFull_;
-  mem.ClearDirtyFlags();
-  checkpoints_.AddDelta(cycle_, bytes, std::move(delta));
+  auto snapshot = std::make_shared<const SimSnapshot>(SaveState());
+  const std::size_t bytes = snapshot->SizeBytes();
+  checkpoints_.Add(cycle_, bytes, std::move(snapshot));
   if (obs::Enabled()) {
-    static obs::Counter& deltas =
-        obs::Registry::Instance().GetCounter("sim.checkpointsDelta");
+    static obs::Counter& captures =
+        obs::Registry::Instance().GetCounter("sim.checkpoints");
     static obs::Gauge& ringBytes =
         obs::Registry::Instance().GetGauge("sim.checkpointRingBytes");
-    deltas.Increment();
+    captures.Increment();
     ringBytes.Set(static_cast<double>(checkpoints_.totalBytes()));
   }
 }
@@ -1471,26 +1352,24 @@ Status Simulation::SeekTo(std::uint64_t targetCycle,
     lastSeekReplayedCycles_ = 0;
     return Status::Ok();
   }
-  if (targetCycle < earliestReachableCycle_) {
+  if (targetCycle < earliestReachableCycle()) {
     return Status::Fail(
         ErrorKind::kInvalidArgument,
         StrFormat("cycle %llu predates this session's detailed window "
                   "(earliest reachable cycle is %llu)",
                   static_cast<unsigned long long>(targetCycle),
-                  static_cast<unsigned long long>(earliestReachableCycle_)));
+                  static_cast<unsigned long long>(earliestReachableCycle())));
   }
 
   // Pick the replay start: for backward seeks the best checkpoint at or
-  // before the target (or a hard reset when checkpointing is disabled);
-  // for forward seeks a checkpoint is only worth restoring when it skips
-  // ahead of the current position — checkpoints from a previous forward
-  // pass stay valid after seeking backward because the simulation is
-  // deterministic.
+  // before the target (the origin at worst, which no reachable target
+  // predates); for forward seeks a checkpoint is only worth restoring when
+  // it skips ahead of the current position — checkpoints from a previous
+  // forward pass stay valid after seeking backward because the simulation
+  // is deterministic.
   const CheckpointRing::Entry* from = checkpoints_.FindAtOrBefore(targetCycle);
-  const bool restore =
-      targetCycle < cycle_ || (from != nullptr && from->cycle > cycle_);
-  const std::uint64_t replayFrom =
-      restore ? (from != nullptr ? from->cycle : 0) : cycle_;
+  const bool restore = targetCycle < cycle_ || from->cycle > cycle_;
+  const std::uint64_t replayFrom = restore ? from->cycle : cycle_;
   if (targetCycle - replayFrom > maxReplayCycles) {
     return Status::Fail(
         ErrorKind::kInvalidArgument,
@@ -1501,20 +1380,7 @@ Status Simulation::SeekTo(std::uint64_t targetCycle,
                   static_cast<unsigned long long>(maxReplayCycles)));
   }
 
-  if (restore) {
-    if (from != nullptr) {
-      RestoreState(*checkpoints_.Materialize(*from));
-    } else if (earliestReachableCycle_ > 0) {
-      // ResetHard would rebuild the pre-import timeline; without the
-      // import anchor (evicted from the ring) the target is unreachable.
-      return Status::Fail(
-          ErrorKind::kInvalidArgument,
-          "no checkpoint covers the target cycle and the session's origin "
-          "predates this process (fast-forwarded import)");
-    } else {
-      ResetHard();
-    }
-  }
+  if (restore) RestoreState(*from->snapshot);
   std::uint64_t replayed = 0;
   while (cycle_ < targetCycle && status_ == SimStatus::kRunning) {
     Step();

@@ -22,8 +22,9 @@
 // paper replays from reset (O(n) per backward step); this implementation
 // snapshots the complete simulation state into a CheckpointRing every K
 // cycles, so StepBack restores the nearest checkpoint at or before the
-// target and replays at most K cycles — O(K) per backward step, with
-// re-execution from reset kept only as the checkpoints-disabled fallback.
+// target and replays at most K cycles — O(K) per backward step. With
+// automatic checkpoints off the ring still holds the origin (cycle 0), and
+// StepBack re-executes from it as the paper does.
 #pragma once
 
 #include <array>
@@ -91,8 +92,9 @@ struct FastForwardSeed {
 
 /// Complete copyable snapshot of a Simulation's mutable state. It is a
 /// plain value: the pipeline, in-flight instructions included, is one
-/// PipelineState copy, so one snapshot can seed many restores (checkpoint
-/// ring, session forks).
+/// PipelineState copy, and memory is the pages dirtied since the shared
+/// load image, so one snapshot can seed many restores (checkpoint ring,
+/// session forks).
 struct SimSnapshot {
   std::uint64_t cycle = 0;
   std::uint64_t nextSeq = 1;
@@ -147,8 +149,8 @@ class Simulation {
   Status StepBack(std::uint64_t maxReplayCycles = UINT64_MAX);
 
   /// Seeks to an arbitrary cycle, backward or forward. Restores the best
-  /// checkpoint at or before `targetCycle` (or hard-resets when none
-  /// exists) and replays the remainder; replay stops early if the program
+  /// checkpoint at or before `targetCycle` (the origin at worst) and
+  /// replays the remainder; replay stops early if the program
   /// finishes. `maxReplayCycles` bounds the replay distance: a seek that
   /// would need more returns an error without touching the state (servers
   /// use this to keep requests bounded).
@@ -165,11 +167,10 @@ class Simulation {
   /// window) still reports its nominal distance.
   std::uint64_t SeekReplayCost(std::uint64_t targetCycle) const;
 
-  /// Resets to the initial state (cycle 0): restores the base checkpoint,
-  /// or rebuilds from the initial memory image when checkpointing is off.
-  /// The checkpoint ring itself survives — determinism keeps it valid.
-  /// In an imported fast-forwarded session whose pre-import cycles are
-  /// unreachable, this seeks to the earliest reachable cycle instead.
+  /// Resets to the origin: restores the ring's oldest entry — cycle 0, or
+  /// in an imported fast-forwarded session, whose pre-import cycles are
+  /// unreachable, the import's anchor. The checkpoint ring itself
+  /// survives — determinism keeps it valid.
   void Reset();
 
   /// Skips the program's warm-up phase on the reference ISS: executes up
@@ -191,28 +192,30 @@ class Simulation {
     return ffSeed_;
   }
 
-  /// Cycles below this are not reachable by SeekTo/StepBack: non-zero only
-  /// in sessions imported from a fast-forwarded export, where the blob's
-  /// snapshot is the oldest state this process can reconstruct.
+  /// Cycles below this are not reachable by SeekTo/StepBack: the cycle of
+  /// the ring's origin entry, non-zero only in sessions imported from a
+  /// fast-forwarded export, where the blob's snapshot is the oldest state
+  /// this process can reconstruct.
   std::uint64_t earliestReachableCycle() const {
-    return earliestReachableCycle_;
+    return checkpoints_.oldest()->cycle;
   }
 
   // --- explicit state -------------------------------------------------------
 
-  /// Captures the complete mutable state. The snapshot shares nothing with
-  /// the live run.
-  SimSnapshot SaveState() const { return SaveStateImpl(true); }
+  /// Captures the complete mutable state, memory as the pages dirtied
+  /// since the load image. The snapshot shares nothing mutable with the
+  /// live run.
+  SimSnapshot SaveState() const;
 
   /// Restores a snapshot previously captured from an identical
-  /// (program, config) pair. The snapshot itself is not consumed.
+  /// (program, config) pair. The snapshot itself is not consumed. A
+  /// snapshot of a differently fast-forwarded timeline replaces the ring
+  /// and becomes its origin.
   void RestoreState(const SimSnapshot& snapshot);
 
-  /// Deposits a checkpoint of the current state into the ring (the server's
-  /// `saveCheckpoint` command); automatic checkpoints are taken by Step()
-  /// every config().checkpoint.intervalCycles cycles. With
-  /// config().checkpoint.deltaPages, checkpoints between full snapshots
-  /// store only the memory pages dirtied since the last full one.
+  /// Adds SaveState() to the ring (the server's `saveCheckpoint` command);
+  /// automatic checkpoints are taken by Step() every
+  /// config().checkpoint.intervalCycles cycles.
   void CaptureCheckpointNow();
 
   const CheckpointRing& checkpoints() const { return checkpoints_; }
@@ -239,8 +242,9 @@ class Simulation {
   memory::MemorySystem& memorySystem() { return *memory_; }
 
   /// FNV-1a hash of the memory image a fresh Create of this (config,
-  /// program) pair produces. Together with the config and program hashes
-  /// it identifies the base that delta session blobs are encoded against.
+  /// program) pair produces — the base every snapshot's memory pages are
+  /// described against. Together with the config and program hashes it
+  /// identifies that base across processes.
   std::uint64_t memoryBaseEpoch() const { return memoryBaseEpoch_; }
 
   const ArchRegisterFile& archRegs() const { return arch_; }
@@ -274,14 +278,9 @@ class Simulation {
  private:
   Simulation(config::CpuConfig config, assembler::LoadedProgram loaded);
 
-  /// Rebuilds the cycle-0 state from scratch (memory re-imaged). The
-  /// checkpoints-disabled Reset path and the Create-time initializer.
+  /// Builds the cycle-0 state over the freshly loaded memory (Create only;
+  /// later resets restore the ring's origin).
   void ResetHard();
-
-  /// SaveState body; `includeMemoryImage = false` leaves the memory byte
-  /// image empty (delta checkpoints carry dirty pages instead — copying a
-  /// multi-MiB image just to discard it would defeat their cost model).
-  SimSnapshot SaveStateImpl(bool includeMemoryImage) const;
 
   /// Deposits an automatic checkpoint when the ring wants one.
   void MaybeCheckpoint();
@@ -327,7 +326,6 @@ class Simulation {
 
   config::CpuConfig config_;                       // snapshot: derived
   assembler::LoadedProgram loaded_;                // snapshot: derived
-  std::vector<std::uint8_t> initialMemoryImage_;   // snapshot: derived
   std::uint64_t memoryBaseEpoch_ = 0;              // snapshot: derived
   /// Parallel to loaded_.program.instructions (pc = 4*i); shared with the
   /// fast-forward ISS. Derived entirely from the immutable (program, ISA)
@@ -363,23 +361,8 @@ class Simulation {
   CheckpointRing checkpoints_;                 // snapshot: derived
   std::uint64_t lastSeekReplayedCycles_ = 0;   // snapshot: derived
 
-  // --- fast-forward bookkeeping --------------------------------------------
-  /// Seed the detailed window started from (see FastForwardTo); applied by
-  /// ResetHard so cycle 0 rebuilds the post-fast-forward state.
+  /// Seed the detailed window started from (see FastForwardTo).
   std::optional<FastForwardSeed> ffSeed_;
-  /// See earliestReachableCycle().
-  std::uint64_t earliestReachableCycle_ = 0;  // snapshot: derived
-
-  // --- delta-checkpoint bookkeeping ----------------------------------------
-  /// The full snapshot deltas patch against.
-  std::shared_ptr<const SimSnapshot> lastFullCheckpoint_;  // snapshot: derived
-  /// Pages dirtied since lastFullCheckpoint_ (per-interval dirt folded in
-  /// at each capture).
-  std::vector<std::uint8_t> dirtySinceFull_;  // snapshot: derived
-  std::uint64_t deltasSinceFull_ = 0;         // snapshot: derived
-  /// Restores invalidate the dirty accounting, so the next capture must be
-  /// a full snapshot.
-  bool forceFullCheckpoint_ = true;  // snapshot: derived
 };
 
 }  // namespace rvss::core

@@ -57,48 +57,108 @@ void MainMemory::WriteBytes(std::uint32_t address, std::uint32_t accessSize,
   }
 }
 
-void MainMemory::Clear() {
-  std::fill(bytes_.begin(), bytes_.end(), 0);
-  MarkAllDirty();
-}
-
-void MainMemory::FoldDirtyInto(std::vector<std::uint8_t>& accumulator) const {
-  accumulator.resize(dirtyPages_.size(), 1);
-  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
-    accumulator[page] |= dirtyPages_[page];
-  }
-}
-
-void MainMemory::ClearDirtyFlags() {
-  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
-    dirtySinceBase_[page] |= dirtyPages_[page];
-  }
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-}
-
 void MainMemory::MarkAllDirty() {
   std::fill(dirtyPages_.begin(), dirtyPages_.end(), 1);
-  std::fill(dirtySinceBase_.begin(), dirtySinceBase_.end(), 1);
 }
 
-std::vector<std::uint8_t> MainMemory::DirtySinceBase() const {
-  std::vector<std::uint8_t> pages(dirtyPages_.size(), 0);
-  for (std::size_t page = 0; page < pages.size(); ++page) {
-    pages[page] = PageDirtySinceBase(static_cast<std::uint32_t>(page)) ? 1 : 0;
-  }
-  return pages;
-}
-
-void MainMemory::RebaseDirtyTracking() {
+void MainMemory::Rebase() {
+  base_ = std::make_shared<const std::vector<std::uint8_t>>(bytes_);
   std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-  std::fill(dirtySinceBase_.begin(), dirtySinceBase_.end(), 0);
 }
 
-void MainMemory::SetDirtySinceBase(const std::vector<std::uint8_t>& pages) {
-  std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-  for (std::size_t page = 0; page < dirtySinceBase_.size(); ++page) {
-    dirtySinceBase_[page] = page < pages.size() ? pages[page] : 1;
+namespace {
+
+constexpr std::uint32_t kPage = MainMemory::kPageSizeBytes;
+
+/// Page `page` of `image`; only the last page may be short.
+std::span<const std::uint8_t> PageOf(std::span<const std::uint8_t> image,
+                                     std::size_t page) {
+  const std::size_t offset = page * kPage;
+  return image.subspan(offset, std::min<std::size_t>(kPage, image.size() - offset));
+}
+
+/// Page `page` of `base` (all zeros when null) in an image of `size` bytes.
+std::span<const std::uint8_t> BasePage(const MainMemory::Image& base,
+                                       std::size_t size, std::size_t page) {
+  static const std::vector<std::uint8_t> kZeroPage(kPage, 0);
+  if (base != nullptr) return PageOf(*base, page);
+  return std::span<const std::uint8_t>(kZeroPage).first(
+      std::min<std::size_t>(kPage, size - page * kPage));
+}
+
+/// Copies the state's pages over `out`, an image of the memory's size.
+void Overlay(const MainMemory::State& state, std::span<std::uint8_t> out) {
+  for (std::size_t i = 0; i < state.pages.size(); ++i) {
+    const std::size_t offset = std::size_t{state.pages[i]} * kPage;
+    std::copy_n(state.pageBytes.begin() + static_cast<std::ptrdiff_t>(i * kPage),
+                std::min<std::size_t>(kPage, out.size() - offset),
+                out.begin() + static_cast<std::ptrdiff_t>(offset));
   }
+}
+
+}  // namespace
+
+void MainMemory::State::CopyImageTo(std::span<std::uint8_t> out) const {
+  if (base != nullptr) {
+    std::copy(base->begin(), base->end(), out.begin());
+  } else {
+    std::fill(out.begin(), out.end(), 0);
+  }
+  Overlay(*this, out);
+}
+
+MainMemory::State MainMemory::Diff(Image base,
+                                   std::span<const std::uint8_t> image) {
+  State state;
+  for (std::size_t page = 0; page * kPage < image.size(); ++page) {
+    const auto current = PageOf(image, page);
+    const auto original = BasePage(base, image.size(), page);
+    if (std::equal(current.begin(), current.end(), original.begin())) {
+      continue;
+    }
+    state.pages.push_back(static_cast<std::uint32_t>(page));
+    state.pageBytes.insert(state.pageBytes.end(), current.begin(),
+                           current.end());
+  }
+  state.base = std::move(base);
+  return state;
+}
+
+MainMemory::State MainMemory::SaveState() const {
+  State state;
+  state.base = base_;
+  const auto dirty = static_cast<std::size_t>(
+      std::count(dirtyPages_.begin(), dirtyPages_.end(), 1));
+  state.pages.reserve(dirty);
+  state.pageBytes.reserve(dirty * kPage);
+  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
+    if (dirtyPages_[page] == 0) continue;
+    const auto current = PageOf(bytes_, page);
+    state.pages.push_back(static_cast<std::uint32_t>(page));
+    state.pageBytes.insert(state.pageBytes.end(), current.begin(),
+                           current.end());
+  }
+  return state;
+}
+
+void MainMemory::RestoreState(const State& state) {
+  if (state.base != base_) {
+    // Built on another memory's base: materialize, then describe the
+    // image against this memory's own base.
+    std::vector<std::uint8_t> image(bytes_.size());
+    state.CopyImageTo(image);
+    RestoreState(Diff(base_, image));
+    return;
+  }
+  for (std::size_t page = 0; page < dirtyPages_.size(); ++page) {
+    if (dirtyPages_[page] == 0) continue;
+    const auto original = BasePage(base_, bytes_.size(), page);
+    std::copy(original.begin(), original.end(),
+              bytes_.begin() + static_cast<std::ptrdiff_t>(page * kPage));
+    dirtyPages_[page] = 0;
+  }
+  Overlay(state, bytes_);
+  for (const std::uint32_t page : state.pages) dirtyPages_[page] = 1;
 }
 
 }  // namespace rvss::memory

@@ -7,22 +7,18 @@
 // objects. Stores are only performed at commit, in program order, so the
 // immediate-write model is architecturally exact.
 //
-// The array also tracks which 4 KiB pages have been written since the last
-// ClearDirtyFlags() call. The checkpoint system uses this to store *delta*
-// checkpoints (only the pages touched since the last full snapshot) instead
-// of whole memory images. Tracking is conservative: anything that mutates
-// bytes outside the typed Write* accessors (the mutable bytes() span, Clear,
-// RestoreState) marks every page dirty.
-//
-// A second, longer-lived accumulator tracks pages dirtied since the memory
-// was last *rebased* — i.e. since it last provably equaled the session's
-// base image (the post-load state a fresh Create reproduces). The snapshot
-// codec's delta blob form ships only these pages. The accumulator is fed
-// for free: ClearDirtyFlags() folds the per-interval dirt into it before
-// clearing, so the write hot path pays nothing extra.
+// The array also remembers its *base image* — the post-load contents a
+// fresh Simulation::Create reproduces, shared and immutable once Rebase()
+// installs it — and which 4 KiB pages have been written since. That one
+// dirty set is the whole memory part of a snapshot: State is the base
+// pointer plus a copy of each dirty page, so saving costs O(dirty pages)
+// and restoring reverts the dirty pages to the base before overlaying the
+// state's. Checkpoints and delta session blobs both use it. Tracking is
+// conservative: the mutable bytes() span marks every page dirty.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,10 +32,9 @@ class MainMemory {
   /// precision for the 64 KiB..64 MiB memories the simulator configures.
   static constexpr std::uint32_t kPageSizeBytes = 4096;
 
+  /// Contents start zeroed, and the base until Rebase() is all zeros.
   explicit MainMemory(std::uint32_t sizeBytes)
-      : bytes_(sizeBytes, 0),
-        dirtyPages_(PageCountFor(sizeBytes), 1),
-        dirtySinceBase_(PageCountFor(sizeBytes), 1) {}
+      : bytes_(sizeBytes, 0), dirtyPages_(PageCountFor(sizeBytes), 0) {}
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(bytes_.size()); }
 
@@ -78,60 +73,42 @@ class MainMemory {
     return bytes_;
   }
 
-  /// Zeroes all contents (simulation reset).
-  void Clear();
+  // --- the base image and the pages dirtied since it ----------------------
 
-  // --- page-level dirty tracking -------------------------------------------
+  /// An immutable memory image shared by a memory and its snapshots.
+  using Image = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-  std::uint32_t PageCount() const {
-    return static_cast<std::uint32_t>(dirtyPages_.size());
-  }
-  bool PageDirty(std::uint32_t page) const { return dirtyPages_[page] != 0; }
+  /// Declares the current contents to *be* the base image and clears the
+  /// dirty set. Call only where the contents provably equal what a fresh
+  /// Create would produce (end of Simulation::Create).
+  void Rebase();
+  /// The base image; null (all zeros) before the first Rebase().
+  const Image& base() const { return base_; }
 
-  /// ORs this memory's dirty flags into `accumulator` (one flag per page).
-  /// The checkpoint system folds per-interval dirt into a dirty-since-full
-  /// set this way.
-  void FoldDirtyInto(std::vector<std::uint8_t>& accumulator) const;
-
-  void ClearDirtyFlags();
-  void MarkAllDirty();
-
-  // --- dirty-since-base tracking (delta session blobs) ---------------------
-
-  /// True when `page` may differ from the base image. Conservative: the
-  /// union of the since-base accumulator and the current dirty window.
-  bool PageDirtySinceBase(std::uint32_t page) const {
-    return dirtySinceBase_[page] != 0 || dirtyPages_[page] != 0;
-  }
-
-  /// One flag per page, `PageDirtySinceBase` materialized.
-  std::vector<std::uint8_t> DirtySinceBase() const;
-
-  /// Declares the current contents to *be* the base image: both trackers
-  /// clear. Call only at a point where the contents provably equal what a
-  /// fresh Create would produce (end of Simulation::Create).
-  void RebaseDirtyTracking();
-
-  /// Declares the current contents to differ from the base image exactly at
-  /// the pages flagged in `pages` (sized like the page count; excess pages
-  /// are treated as dirty). Used after a delta import, where the overlaid
-  /// page set is known precisely.
-  void SetDirtySinceBase(const std::vector<std::uint8_t>& pages);
-
-  /// Copyable snapshot of the full memory contents. Restoring a snapshot
-  /// taken from a memory of a different capacity also restores that
-  /// capacity (snapshots always come from the same configuration).
+  /// The memory part of a snapshot: the base image plus a copy of every
+  /// page dirtied since it. Restorable into any memory of the same
+  /// capacity; cheapest into one that shares the base.
   struct State {
-    std::vector<std::uint8_t> bytes;
+    Image base;                           ///< null: all zeros
+    std::vector<std::uint32_t> pages;     ///< dirty page indices, ascending
+    /// The pages' contents back to back, kPageSizeBytes each (only the
+    /// memory's last page may be shorter).
+    std::vector<std::uint8_t> pageBytes;
+
+    /// Writes the full image this state describes into `out` (sized like
+    /// the memory): the base with the pages overlaid.
+    void CopyImageTo(std::span<std::uint8_t> out) const;
   };
-  State SaveState() const { return State{bytes_}; }
-  void RestoreState(const State& state) {
-    bytes_ = state.bytes;
-    dirtyPages_.assign(PageCountFor(static_cast<std::uint32_t>(bytes_.size())),
-                       1);
-    dirtySinceBase_.assign(
-        PageCountFor(static_cast<std::uint32_t>(bytes_.size())), 1);
-  }
+
+  /// The state whose full image is `image`, described against `base`:
+  /// only pages that differ from the base are copied.
+  static State Diff(Image base, std::span<const std::uint8_t> image);
+
+  State SaveState() const;
+  /// Reverts the dirty pages to the base, overlays the state's pages and
+  /// adopts their set as the dirty set — O(dirty pages). A state built on
+  /// another memory's base is materialized and diffed against this one's.
+  void RestoreState(const State& state);
 
  private:
   static std::uint32_t PageCountFor(std::uint32_t sizeBytes) {
@@ -141,10 +118,11 @@ class MainMemory {
     dirtyPages_[address / kPageSizeBytes] = 1;
     dirtyPages_[(address + accessSize - 1) / kPageSizeBytes] = 1;
   }
+  void MarkAllDirty();
 
   std::vector<std::uint8_t> bytes_;
-  std::vector<std::uint8_t> dirtyPages_;      ///< one flag per page
-  std::vector<std::uint8_t> dirtySinceBase_;  ///< folded on ClearDirtyFlags
+  Image base_;
+  std::vector<std::uint8_t> dirtyPages_;  ///< one flag per page, since base_
 };
 
 }  // namespace rvss::memory

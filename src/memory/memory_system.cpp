@@ -56,9 +56,9 @@ MemoryTransaction MemorySystem::Register(std::uint32_t address,
   return txn;
 }
 
-MemorySystem::State MemorySystem::SaveState(bool includeMemoryBytes) const {
+MemorySystem::State MemorySystem::SaveState() const {
   State state;
-  if (includeMemoryBytes) state.memory = memory_.SaveState();
+  state.memory = memory_.SaveState();
   if (cache_) state.cache = cache_->SaveState();
   state.stats = stats_;
   state.nextTransactionId = nextTransactionId_;
@@ -70,13 +70,6 @@ void MemorySystem::RestoreState(const State& state) {
   if (cache_ && state.cache.has_value()) cache_->RestoreState(*state.cache);
   stats_ = state.stats;
   nextTransactionId_ = state.nextTransactionId;
-}
-
-void MemorySystem::Reset() {
-  memory_.Clear();
-  if (cache_) cache_->Reset();
-  stats_ = MemoryStats{};
-  nextTransactionId_ = 1;
 }
 
 }  // namespace rvss::memory

@@ -54,20 +54,16 @@ class MemorySystem {
 
   const MemoryStats& stats() const { return stats_; }
 
-  /// Clears memory contents, cache state and statistics.
-  void Reset();
-
   /// Copyable snapshot of everything mutable behind the front door: memory
-  /// contents, cache residency, statistics and the transaction counter.
+  /// contents (the pages dirtied since the base image), cache residency,
+  /// statistics and the transaction counter.
   struct State {
     MainMemory::State memory;
     std::optional<Cache::State> cache;  ///< engaged iff the cache is enabled
     MemoryStats stats;
     std::uint64_t nextTransactionId = 1;
   };
-  /// `includeMemoryBytes = false` skips the (potentially multi-MiB) byte
-  /// image — for delta checkpoints, which store dirty pages separately.
-  State SaveState(bool includeMemoryBytes = true) const;
+  State SaveState() const;
   void RestoreState(const State& state);
 
  private:

@@ -240,7 +240,8 @@ void EncodeIndexList(Writer& w, const Container& container,
 }
 
 /// Decodes an index list into `out` (deque or vector of slots; table entry
-/// i is pool slot i) and marks each entry it references in `referenced`.
+/// i is pool slot i) and counts, per entry, the containers holding it in
+/// `holders`.
 /// `allowNull` admits the null sentinel (functional units only).
 /// `maxSize` caps the list at the live container's configured capacity,
 /// and duplicates within one list are rejected (a pipeline container
@@ -248,13 +249,13 @@ void EncodeIndexList(Writer& w, const Container& container,
 /// *across* containers), so a checksum-correct but hostile blob cannot
 /// oversize a buffer or double-commit an instruction.
 template <typename Container>
-Status DecodeIndexList(Reader& r, std::vector<bool>& referenced,
+Status DecodeIndexList(Reader& r, std::vector<std::uint8_t>& holders,
                        bool allowNull, std::size_t maxSize, Container& out) {
   const std::uint32_t count = r.Count(4);
   if (r.ok() && count > maxSize) {
     return CodecError("container larger than its configured capacity");
   }
-  std::vector<bool> seen(referenced.size(), false);
+  std::vector<bool> seen(holders.size(), false);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t index = r.U32();
     if (!r.ok()) break;
@@ -263,14 +264,14 @@ Status DecodeIndexList(Reader& r, std::vector<bool>& referenced,
       out.push_back(core::kNoSlot);
       continue;
     }
-    if (index >= referenced.size()) {
+    if (index >= holders.size()) {
       return CodecError("in-flight table index out of range");
     }
     if (seen[index]) {
       return CodecError("duplicate in-flight reference within one container");
     }
     seen[index] = true;
-    referenced[index] = true;
+    ++holders[index];
     out.push_back(static_cast<core::Slot>(index));
   }
   if (!r.ok()) return CodecError(r.failReason());
@@ -398,42 +399,31 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
     w.U32(history);
   }
 
-  // Memory system: raw image (full, or in v3 delta mode a sparse page
-  // overlay against the negotiated base), cache residency, statistics.
-  const auto& memoryBytes = snapshot.memory.memory.bytes;
-  const bool deltaMemory =
-      formatVersion >= 3 && options.deltaPages != nullptr;
+  // Memory system: the full image (the base with the snapshot's pages
+  // overlaid) or, in v3 delta mode, only the pages dirtied since the base;
+  // then cache residency and statistics.
+  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
+  const memory::MainMemory::State& memoryState = snapshot.memory.memory;
+  const std::uint32_t totalSize = context.config->memory.sizeBytes;
+  const bool deltaMemory = formatVersion >= 3 && options.deltaMemory;
   if (formatVersion >= 3) {
     w.U8(deltaMemory ? 1 : 0);
   }
   if (deltaMemory) {
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-    const std::vector<std::uint8_t>& dirty = *options.deltaPages;
-    const auto totalSize = static_cast<std::uint32_t>(memoryBytes.size());
-    const std::uint32_t pageTotal = (totalSize + kPage - 1) / kPage;
-    // An undersized flag vector is treated as all-dirty past its end
-    // (conservative: shipping an extra page is correct, skipping one is
-    // not).
-    const auto pageDirty = [&dirty](std::uint32_t page) {
-      return page >= dirty.size() || dirty[page] != 0;
-    };
-    std::uint32_t dirtyCount = 0;
-    for (std::uint32_t page = 0; page < pageTotal; ++page) {
-      if (pageDirty(page)) ++dirtyCount;
-    }
     w.U64(options.baseEpoch);
     w.U32(totalSize);
-    w.U32(dirtyCount);
-    for (std::uint32_t page = 0; page < pageTotal; ++page) {
-      if (!pageDirty(page)) continue;
-      const std::uint32_t offset = page * kPage;
+    w.U32(static_cast<std::uint32_t>(memoryState.pages.size()));
+    for (std::size_t i = 0; i < memoryState.pages.size(); ++i) {
+      const std::uint32_t page = memoryState.pages[i];
       w.U32(page);
-      w.Bytes(memoryBytes.data() + offset,
-              std::min(kPage, totalSize - offset));
+      w.Bytes(memoryState.pageBytes.data() + i * kPage,
+              std::min(kPage, totalSize - page * kPage));
     }
   } else {
-    w.U32(static_cast<std::uint32_t>(memoryBytes.size()));
-    w.Bytes(memoryBytes.data(), memoryBytes.size());
+    std::vector<std::uint8_t> image(totalSize);
+    memoryState.CopyImageTo(image);
+    w.U32(totalSize);
+    w.Bytes(image.data(), image.size());
   }
   w.Bool(snapshot.memory.cache.has_value());
   if (snapshot.memory.cache.has_value()) {
@@ -517,8 +507,7 @@ std::string EncodeSnapshot(const core::SimSnapshot& snapshot,
 // --- decode -----------------------------------------------------------------
 
 Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
-                                         const CodecContext& context,
-                                         DecodeInfo* info) {
+                                         const CodecContext& context) {
   const config::CpuConfig& config = *context.config;
   const assembler::Program& program = *context.program;
 
@@ -597,31 +586,52 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
   for (core::InFlight& inst : pipeline.pool) {
     RVSS_RETURN_IF_ERROR(DecodeInFlight(r, program, renameCount, inst));
   }
-  std::vector<bool> referenced(tableCount, false);
+  std::vector<std::uint8_t> holders(tableCount, 0);
   // StageFetch tops the queue up by one fetch group past the width check,
   // so the live fetch queue can briefly hold up to 2*fetchWidth - 1.
   RVSS_RETURN_IF_ERROR(DecodeIndexList(
-      r, referenced, false, std::size_t{2} * config.buffers.fetchWidth,
+      r, holders, false, std::size_t{2} * config.buffers.fetchWidth,
       pipeline.fetchQueue));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, holders, false,
                                        config.buffers.robSize, pipeline.rob));
   for (auto& window : pipeline.windows) {
     RVSS_RETURN_IF_ERROR(DecodeIndexList(
-        r, referenced, false, config.buffers.issueWindowSize, window));
+        r, holders, false, config.buffers.issueWindowSize, window));
   }
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, holders, false,
                                        config.memory.loadBufferSize,
                                        pipeline.loadBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, false,
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, holders, false,
                                        config.memory.storeBufferSize,
                                        pipeline.storeBuffer));
-  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, referenced, true,
+  RVSS_RETURN_IF_ERROR(DecodeIndexList(r, holders, true,
                                        config.functionalUnits.size(),
                                        pipeline.fuCurrent));
   // An entry no container holds would be a slot neither live nor free.
-  if (r.ok() && std::find(referenced.begin(), referenced.end(), false) !=
-                    referenced.end()) {
-    return CodecError("in-flight table entry referenced by no container");
+  // The cross-container rules a live pipeline never breaks: an instruction
+  // in the fetch queue is held by nothing else, and one in an issue window
+  // or the load buffer is also in the ROB (only committed stores sit
+  // outside it, in the store buffer or a unit). A blob breaking them would
+  // have a flush release one slot twice.
+  if (r.ok()) {
+    if (std::find(holders.begin(), holders.end(), 0) != holders.end()) {
+      return CodecError("in-flight table entry referenced by no container");
+    }
+    std::vector<bool> inRob(tableCount, false);
+    for (const core::Slot slot : pipeline.rob) inRob[slot] = true;
+    const auto outsideRob = [&inRob](const auto& container) {
+      return std::any_of(container.begin(), container.end(),
+                         [&inRob](core::Slot slot) { return !inRob[slot]; });
+    };
+    if (std::any_of(pipeline.fetchQueue.begin(), pipeline.fetchQueue.end(),
+                    [&holders](core::Slot slot) { return holders[slot] > 1; })) {
+      return CodecError("fetch-queue entry also held by another container");
+    }
+    if (outsideRob(pipeline.loadBuffer) ||
+        std::any_of(pipeline.windows.begin(), pipeline.windows.end(),
+                    outsideRob)) {
+      return CodecError("issue-window or load-buffer entry missing from the ROB");
+    }
   }
   const std::uint32_t fuCount = r.Count(8);
   if (r.ok() && (pipeline.fuCurrent.size() != config.functionalUnits.size() ||
@@ -740,9 +750,9 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
       return CodecError("memory mode out of range");
     }
   }
-  DecodeInfo decodeInfo;
+  constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
+  memory::MainMemory::State& memoryState = snapshot.memory.memory;
   if (memoryMode == 1) {
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
     const std::uint64_t baseEpoch = r.U64();
     const std::uint32_t totalSize = r.U32();
     if (r.ok() && totalSize != config.memory.sizeBytes) {
@@ -751,7 +761,8 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
     // Fail closed: a delta is only restorable over the exact base it was
     // computed against. No base (or a different one) means this side must
     // ask for a full image instead — never patch over the wrong bytes.
-    if (r.ok() && (context.baseMemory.size() != totalSize ||
+    if (r.ok() && (context.base == nullptr ||
+                   context.base->size() != totalSize ||
                    context.baseEpoch != baseEpoch)) {
       return CodecError(
           "delta blob references a base image this side does not have "
@@ -762,10 +773,8 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
     if (r.ok() && pageCount > pageTotal) {
       return CodecError("delta page count exceeds the memory's page count");
     }
-    snapshot.memory.memory.bytes.assign(context.baseMemory.begin(),
-                                        context.baseMemory.end());
-    decodeInfo.deltaMemory = true;
-    decodeInfo.overlaidPages.assign(pageTotal, 0);
+    memoryState.base = context.base;
+    memoryState.pages.reserve(pageCount);
     std::int64_t lastPage = -1;
     for (std::uint32_t i = 0; i < pageCount; ++i) {
       const std::uint32_t page = r.U32();
@@ -774,18 +783,28 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
         return CodecError("delta page index out of order or out of range");
       }
       lastPage = page;
-      const std::uint32_t offset = page * kPage;
-      r.BytesInto(snapshot.memory.memory.bytes.data() + offset,
-                  std::min(kPage, totalSize - offset));
-      decodeInfo.overlaidPages[page] = 1;
+      const std::size_t length = std::min(kPage, totalSize - page * kPage);
+      const std::size_t offset = memoryState.pageBytes.size();
+      memoryState.pageBytes.resize(offset + length);
+      r.BytesInto(memoryState.pageBytes.data() + offset, length);
+      memoryState.pages.push_back(page);
     }
   } else {
     const std::uint32_t memorySize = r.Count(1);
     if (r.ok() && memorySize != config.memory.sizeBytes) {
       return CodecError("memory size does not match configuration");
     }
-    snapshot.memory.memory.bytes.resize(memorySize);
-    r.BytesInto(snapshot.memory.memory.bytes.data(), memorySize);
+    std::vector<std::uint8_t> image(memorySize);
+    r.BytesInto(image.data(), memorySize);
+    // Described against the decoding side's base when it has one, so the
+    // snapshot holds (and a restore copies) only the pages that differ;
+    // without one the image is its own base.
+    if (context.base != nullptr && context.base->size() == memorySize) {
+      memoryState = memory::MainMemory::Diff(context.base, image);
+    } else {
+      memoryState.base =
+          std::make_shared<const std::vector<std::uint8_t>>(std::move(image));
+    }
   }
   const bool hasCache = r.Bool();
   if (r.ok() && hasCache != config.cache.enabled) {
@@ -880,7 +899,6 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
   if (r.remaining() != 0) {
     return CodecError("trailing bytes after the snapshot payload");
   }
-  if (info != nullptr) *info = std::move(decodeInfo);
   return snapshot;
 }
 

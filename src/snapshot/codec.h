@@ -53,14 +53,16 @@ namespace rvss::snapshot {
 inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinFormatVersion = 2;
 
-/// What a blob must match to be restorable. `baseMemory`/`baseEpoch`
-/// describe the base image available on the decoding side (the post-Create
-/// memory of the same (config, program) pair); they are only consulted for
-/// delta-mode blobs, which fail closed without a matching base.
+/// What a blob must match to be restorable. `base`/`baseEpoch` describe
+/// the base image available on the decoding side (the load image of the
+/// same (config, program) pair: Simulation::memorySystem().memory().base()
+/// and memoryBaseEpoch()). A delta-mode blob fails closed without a
+/// matching base; a full image is decoded into the pages that differ from
+/// it (or, without a base, kept whole as its own base).
 struct CodecContext {
   const config::CpuConfig* config = nullptr;
   const assembler::Program* program = nullptr;
-  std::string_view baseMemory{};
+  memory::MainMemory::Image base{};
   std::uint64_t baseEpoch = 0;
 };
 
@@ -71,22 +73,14 @@ struct EncodeOptions {
   /// byte-identical to what older builds wrote (no memory-mode byte, so
   /// no delta form).
   std::uint32_t formatVersion = kFormatVersion;
-  /// Non-null selects delta memory mode (v3 only): one flag per 4 KiB
-  /// page, set when the page may differ from the base image. Pages with
-  /// the flag clear are *not* shipped and are taken from the decoder's
-  /// base.
-  const std::vector<std::uint8_t>* deltaPages = nullptr;
-  /// Identifies the base image a delta was computed against; decode
-  /// refuses a delta whose epoch differs from the context's.
-  std::uint64_t baseEpoch = 0;
-};
-
-/// What DecodeSnapshot learned about the blob's memory section.
-struct DecodeInfo {
+  /// Delta memory mode (v3 only): ship only the snapshot's own pages —
+  /// those dirtied since the base image — and take every other page from
+  /// the decoder's base.
   bool deltaMemory = false;
-  /// Delta mode only: one flag per page, set for pages the blob overlaid
-  /// on the base (i.e. the decoded memory's precise dirty-since-base set).
-  std::vector<std::uint8_t> overlaidPages;
+  /// Identifies the base image the snapshot's pages are described against
+  /// (Simulation::memoryBaseEpoch()); decode refuses a delta whose epoch
+  /// differs from the context's.
+  std::uint64_t baseEpoch = 0;
 };
 
 /// FNV-1a over the canonical JSON dump of `config` with checkpoint
@@ -109,9 +103,8 @@ struct DecodeInfo {
 /// for Simulation::RestoreState, or an error for any version, hash, size
 /// or structural mismatch — including a delta blob whose base the context
 /// cannot supply (fail closed, never lossy). Never crashes on malformed
-/// input. `info`, when non-null, reports the memory mode encountered.
+/// input.
 Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
-                                         const CodecContext& context,
-                                         DecodeInfo* info = nullptr);
+                                         const CodecContext& context);
 
 }  // namespace rvss::snapshot

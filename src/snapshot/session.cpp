@@ -7,7 +7,6 @@
 
 #include "common/slz.h"
 #include "json/json.h"
-#include "memory/main_memory.h"
 #include "memory/memory_initializer.h"
 #include "snapshot/codec.h"
 #include "snapshot/wire.h"
@@ -49,12 +48,8 @@ std::string EncodeSessionBlob(const core::Simulation& sim,
   if (options.formatVersion != 0) {
     encode.formatVersion = options.formatVersion;
   }
-  std::vector<std::uint8_t> dirtyPages;
-  if (options.delta && encode.formatVersion >= 3) {
-    dirtyPages = sim.memorySystem().memory().DirtySinceBase();
-    encode.deltaPages = &dirtyPages;
-    encode.baseEpoch = sim.memoryBaseEpoch();
-  }
+  encode.deltaMemory = options.delta;
+  encode.baseEpoch = sim.memoryBaseEpoch();
   Writer container;
   container.U32(kSessionVersion);
   container.Str(identity.configJson);
@@ -146,47 +141,21 @@ Result<ImportedSession> ImportSessionBlob(
       std::unique_ptr<core::Simulation> sim,
       core::Simulation::Create(config, identity.source, options));
 
-  // The freshly Created simulation holds exactly the base image a delta
-  // snapshot was encoded against (same config/source/arrays reproduce the
-  // same post-load memory), so hand it to the decoder; the base-epoch
-  // check inside DecodeSnapshot fails closed if this build would produce
-  // a different image.
-  const auto baseSpan = std::as_const(*sim).memorySystem().memory().bytes();
-  std::vector<std::uint8_t> baseImage(baseSpan.begin(), baseSpan.end());
+  // The freshly Created simulation holds exactly the base image the
+  // snapshot's memory was described against (same config/source/arrays
+  // reproduce the same load image), so hand it to the decoder; the
+  // base-epoch check inside DecodeSnapshot fails closed if this build
+  // would produce a different image.
   CodecContext context{&sim->config(), &sim->program()};
-  context.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseImage.data()), baseImage.size());
+  context.base = std::as_const(*sim).memorySystem().memory().base();
   context.baseEpoch = sim->memoryBaseEpoch();
-  DecodeInfo decodeInfo;
   RVSS_ASSIGN_OR_RETURN(core::SimSnapshot snapshot,
-                        DecodeSnapshot(snapshotBlob, context, &decodeInfo));
+                        DecodeSnapshot(snapshotBlob, context));
   sim->RestoreState(snapshot);
   // Anchor backward stepping at the imported position; without this the
-  // only checkpoint is the cycle-0 base and the first StepBack replays the
-  // whole prefix.
+  // only checkpoint is the cycle-0 origin and the first StepBack replays
+  // the whole prefix.
   sim->CaptureCheckpointNow();
-  // Seed precise dirty-since-base tracking so a later delta export of this
-  // session stays small. Delta imports know the overlaid page set exactly;
-  // full imports recover it by diffing the restored memory against the
-  // base image (RestoreState itself conservatively marked everything).
-  if (decodeInfo.deltaMemory) {
-    sim->memorySystem().memory().SetDirtySinceBase(decodeInfo.overlaidPages);
-  } else {
-    const auto restored = std::as_const(*sim).memorySystem().memory().bytes();
-    constexpr std::uint32_t kPage = memory::MainMemory::kPageSizeBytes;
-    const std::size_t pageTotal = (restored.size() + kPage - 1) / kPage;
-    std::vector<std::uint8_t> dirty(pageTotal, 0);
-    for (std::size_t page = 0; page < pageTotal; ++page) {
-      const std::size_t offset = page * kPage;
-      const std::size_t size =
-          std::min<std::size_t>(kPage, restored.size() - offset);
-      if (std::memcmp(restored.data() + offset, baseImage.data() + offset,
-                      size) != 0) {
-        dirty[page] = 1;
-      }
-    }
-    sim->memorySystem().memory().SetDirtySinceBase(dirty);
-  }
 
   ImportedSession imported;
   imported.sim = std::move(sim);

@@ -125,10 +125,10 @@ TEST(CheckpointRing, FindAtOrBeforePicksNewestNotAfter) {
   EXPECT_EQ(ring.FindAtOrBefore(31)->cycle, 0u);
   EXPECT_EQ(ring.FindAtOrBefore(32)->cycle, 32u);
   EXPECT_EQ(ring.FindAtOrBefore(1000)->cycle, 64u);
-  EXPECT_EQ(ring.base()->cycle, 0u);
+  EXPECT_EQ(ring.oldest()->cycle, 0u);
   CheckpointRing empty(32, 1u << 20);
   EXPECT_EQ(empty.FindAtOrBefore(1000), nullptr);
-  EXPECT_EQ(empty.base(), nullptr);
+  EXPECT_EQ(empty.oldest(), nullptr);
 }
 
 TEST(CheckpointRing, DuplicateCycleIsNoOp) {
@@ -139,7 +139,7 @@ TEST(CheckpointRing, DuplicateCycleIsNoOp) {
   EXPECT_EQ(ring.totalBytes(), 100u);
 }
 
-TEST(CheckpointRing, EvictsOldestButPinsBaseAndNewest) {
+TEST(CheckpointRing, EvictsOldestButPinsOriginAndNewest) {
   CheckpointRing ring(32, 250);
   ring.Add(0, 100, DummySnapshot());
   ring.Add(32, 100, DummySnapshot());
@@ -148,13 +148,13 @@ TEST(CheckpointRing, EvictsOldestButPinsBaseAndNewest) {
   EXPECT_EQ(ring.totalBytes(), 200u);
   EXPECT_EQ(ring.FindAtOrBefore(63)->cycle, 0u);
   EXPECT_EQ(ring.FindAtOrBefore(64)->cycle, 64u);
-  // Even a budget too small for two entries keeps base + newest.
+  // Even a budget too small for two entries keeps origin + newest.
   CheckpointRing tiny(32, 50);
   tiny.Add(0, 100, DummySnapshot());
   tiny.Add(32, 100, DummySnapshot());
   tiny.Add(64, 100, DummySnapshot());
   EXPECT_EQ(tiny.checkpointCount(), 2u);
-  EXPECT_EQ(tiny.base()->cycle, 0u);
+  EXPECT_EQ(tiny.oldest()->cycle, 0u);
 }
 
 // ---- explicit state objects ------------------------------------------------
@@ -406,7 +406,9 @@ TEST(CheckpointBudget, DisabledIntervalFallsBackToFullReplay) {
   auto sim = MustCreate(kBranchyMemory, config);
   ASSERT_NE(sim, nullptr);
   StepN(*sim, 100);
-  EXPECT_EQ(sim->checkpoints().checkpointCount(), 0u);
+  // Automatic checkpoints are off; the ring holds only the cycle-0 origin.
+  EXPECT_EQ(sim->checkpoints().checkpointCount(), 1u);
+  EXPECT_EQ(sim->checkpoints().oldest()->cycle, 0u);
   ASSERT_TRUE(sim->StepBack().ok());
   // The paper's path: re-execution of all 99 cycles from reset.
   EXPECT_EQ(sim->lastSeekReplayedCycles(), 99u);

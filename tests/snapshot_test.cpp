@@ -1,6 +1,6 @@
 // Snapshot subsystem tests: the versioned binary codec (round trips,
 // aliasing preservation, hostile-input rejection), portable session blobs
-// (export -> import -> continue-execution differential), page-delta
+// (export -> import -> continue-execution differential), page
 // checkpoints (ring byte reduction with byte-identical StepBack), the
 // server's exportSession/importSession commands including the
 // SimServer::Limits checkpoint-budget override, and the CLI
@@ -442,6 +442,132 @@ TEST(SnapshotCodec, RejectsInFlightEntryNoContainerHolds) {
       << decoded.error().message;
 }
 
+/// The encoder's wire numbering of pool slots: first-seen order over the
+/// fetch queue, ROB, issue windows, load buffer, store buffer and units.
+std::vector<std::uint32_t> WireNumbering(const core::PipelineState& pipeline) {
+  std::vector<std::uint32_t> wire(pipeline.pool.size(), 0xffffffffu);
+  std::uint32_t next = 0;
+  const auto visit = [&](const auto& container) {
+    for (const core::Slot slot : container) {
+      if (slot != core::kNoSlot && wire[slot] == 0xffffffffu) wire[slot] = next++;
+    }
+  };
+  visit(pipeline.fetchQueue);
+  visit(pipeline.rob);
+  for (const auto& window : pipeline.windows) visit(window);
+  visit(pipeline.loadBuffer);
+  visit(pipeline.storeBuffer);
+  visit(pipeline.fuCurrent);
+  return wire;
+}
+
+/// One container's index list as the encoder writes it.
+template <typename Container>
+std::string WireList(const Container& container,
+                     const std::vector<std::uint32_t>& wire) {
+  Writer w;
+  w.U32(static_cast<std::uint32_t>(container.size()));
+  for (const core::Slot slot : container) {
+    w.U32(slot == core::kNoSlot ? 0xffffffffu : wire[slot]);
+  }
+  return w.out();
+}
+
+/// Recomputes the payload checksum, so only the structural checks stand
+/// between a rewritten blob and a decoded snapshot.
+void ResealChecksum(std::string& blob) {
+  constexpr std::size_t kPayloadHashOffset = 24;
+  constexpr std::size_t kHeaderBytes = 40;
+  Writer checksum;
+  checksum.U64(Fnv1a64(std::string_view(blob).substr(kHeaderBytes)));
+  blob.replace(kPayloadHashOffset, 8, checksum.out());
+}
+
+TEST(SnapshotCodec, RejectsFetchQueueEntryAnotherContainerHolds) {
+  // Hand an idle functional unit the fetch queue's first instruction:
+  // every entry stays referenced and units may hold instructions outside
+  // the ROB, but a flush would release that slot twice.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  const auto idleUnit = [&sim] {
+    const auto& units = sim->pipeline().fuCurrent;
+    return std::find(units.begin(), units.end(), core::kNoSlot);
+  };
+  for (int step = 0; step < 2000 && (sim->pipeline().fetchQueue.empty() ||
+                                     idleUnit() == sim->pipeline().fuCurrent.end());
+       ++step) {
+    sim->Step();
+  }
+  const core::PipelineState& pipeline = sim->pipeline();
+  ASSERT_FALSE(pipeline.fetchQueue.empty());
+  ASSERT_NE(idleUnit(), pipeline.fuCurrent.end());
+  const CodecContext context{&sim->config(), &sim->program()};
+  std::string blob = EncodeSnapshot(sim->SaveState(), context);
+
+  const std::vector<std::uint32_t> wire = WireNumbering(pipeline);
+  const std::string stores = WireList(pipeline.storeBuffer, wire);
+  const std::size_t at =
+      blob.find(stores + WireList(pipeline.fuCurrent, wire));
+  ASSERT_NE(at, std::string::npos);
+  const auto unit =
+      static_cast<std::size_t>(idleUnit() - pipeline.fuCurrent.begin());
+  Writer fetched;
+  fetched.U32(wire[pipeline.fetchQueue.front()]);
+  blob.replace(at + stores.size() + 4 + 4 * unit, 4, fetched.out());
+  ResealChecksum(blob);
+
+  auto decoded = DecodeSnapshot(blob, context);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find(
+                "fetch-queue entry also held by another container"),
+            std::string::npos)
+      << decoded.error().message;
+}
+
+TEST(SnapshotCodec, RejectsLoadBufferEntryOutsideTheRob) {
+  // Point the load buffer's first entry at a committed store still
+  // draining from the store buffer: the load stays referenced by the ROB,
+  // but the load buffer now holds an instruction the ROB does not.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  const auto drainingStore = [&sim] {
+    const core::PipelineState& p = sim->pipeline();
+    return std::find_if(p.storeBuffer.begin(), p.storeBuffer.end(),
+                        [&p](core::Slot slot) {
+                          return std::find(p.rob.begin(), p.rob.end(), slot) ==
+                                 p.rob.end();
+                        });
+  };
+  for (int step = 0;
+       step < 2000 && (sim->pipeline().loadBuffer.empty() ||
+                       drainingStore() == sim->pipeline().storeBuffer.end());
+       ++step) {
+    sim->Step();
+  }
+  const core::PipelineState& pipeline = sim->pipeline();
+  ASSERT_FALSE(pipeline.loadBuffer.empty());
+  ASSERT_NE(drainingStore(), pipeline.storeBuffer.end());
+  const CodecContext context{&sim->config(), &sim->program()};
+  std::string blob = EncodeSnapshot(sim->SaveState(), context);
+
+  const std::vector<std::uint32_t> wire = WireNumbering(pipeline);
+  const std::size_t at =
+      blob.find(WireList(pipeline.loadBuffer, wire) +
+                WireList(pipeline.storeBuffer, wire));
+  ASSERT_NE(at, std::string::npos);
+  Writer store;
+  store.U32(wire[*drainingStore()]);
+  blob.replace(at + 4, 4, store.out());
+  ResealChecksum(blob);
+
+  auto decoded = DecodeSnapshot(blob, context);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find(
+                "issue-window or load-buffer entry missing from the ROB"),
+            std::string::npos)
+      << decoded.error().message;
+}
+
 TEST(SnapshotCodec, RejectsDuplicateFreeListTags) {
   auto sim = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(sim, nullptr);
@@ -645,85 +771,83 @@ TEST(LogBudget, ShrinkMidRunNeverCorruptsEncodedBlob) {
   EXPECT_EQ(reencoded, blob);
 }
 
-// ---- delta checkpoints ------------------------------------------------------
+// ---- page checkpoints -------------------------------------------------------
 
 /// 1 MiB memory with a working set of a few pages: the configuration where
-/// page deltas pay off.
-config::CpuConfig DeltaConfig(bool deltaPages) {
-  config::CpuConfig config = TestConfig(64);
+/// storing only the pages dirtied since the load image pays off.
+config::CpuConfig DeltaConfig(std::uint64_t intervalCycles = 64) {
+  config::CpuConfig config = TestConfig(intervalCycles);
   config.memory.sizeBytes = 1 << 20;
-  config.checkpoint.deltaPages = deltaPages;
-  config.checkpoint.fullSnapshotEvery = 16;
   return config;
 }
 
-TEST(DeltaCheckpoints, ShrinkRingBytesAtLeast5x) {
-  auto fullMode = MustCreate(kBranchyMemory, DeltaConfig(false));
-  auto deltaMode = MustCreate(kBranchyMemory, DeltaConfig(true));
-  ASSERT_NE(fullMode, nullptr);
-  ASSERT_NE(deltaMode, nullptr);
-  StepN(*fullMode, 2000);
-  StepN(*deltaMode, 2000);
-
-  ASSERT_EQ(fullMode->checkpoints().checkpointCount(),
-            deltaMode->checkpoints().checkpointCount());
-  EXPECT_GT(deltaMode->checkpoints().deltaCheckpointCount(), 20u);
-  const std::size_t fullBytes = fullMode->checkpoints().totalBytes();
-  const std::size_t deltaBytes = deltaMode->checkpoints().totalBytes();
-  EXPECT_GE(fullBytes, deltaBytes * 5)
-      << "delta ring " << deltaBytes << " bytes vs full ring " << fullBytes;
+/// What one checkpoint of `sim` would cost holding the whole memory image:
+/// the state without its pages, plus the image.
+std::size_t FullSnapshotBytes(const core::Simulation& sim) {
+  core::SimSnapshot full = sim.SaveState();
+  full.memory.memory = {};
+  return full.SizeBytes() + sim.config().memory.sizeBytes;
 }
 
-TEST(DeltaCheckpoints, StepBackMatchesFullSnapshotMode) {
-  // Every seek target must land in a state byte-identical to full-snapshot
-  // mode — materialized deltas are real restore points, not approximations.
-  auto fullMode = MustCreate(kBranchyMemory, DeltaConfig(false));
-  auto deltaMode = MustCreate(kBranchyMemory, DeltaConfig(true));
-  ASSERT_NE(fullMode, nullptr);
-  ASSERT_NE(deltaMode, nullptr);
-  StepN(*fullMode, 1500);
-  StepN(*deltaMode, 1500);
+TEST(DeltaCheckpoints, ShrinkRingBytesAtLeast5x) {
+  auto sim = MustCreate(kBranchyMemory, DeltaConfig());
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 2000);
+
+  const core::CheckpointRing& ring = sim->checkpoints();
+  EXPECT_GT(ring.checkpointCount(), 20u);
+  const std::size_t fullBytes =
+      ring.checkpointCount() * FullSnapshotBytes(*sim);
+  EXPECT_GE(fullBytes, ring.totalBytes() * 5)
+      << "ring " << ring.totalBytes() << " bytes vs " << fullBytes
+      << " bytes of whole-image snapshots";
+}
+
+TEST(DeltaCheckpoints, SeekMatchesReplayFromOrigin) {
+  // Every seek target must land in a state byte-identical to replaying
+  // from cycle 0 — page checkpoints are real restore points, not
+  // approximations.
+  auto sim = MustCreate(kBranchyMemory, DeltaConfig());
+  auto reference = MustCreate(kBranchyMemory, DeltaConfig(0));
+  ASSERT_NE(sim, nullptr);
+  ASSERT_NE(reference, nullptr);
+  StepN(*sim, 1500);
+  StepN(*reference, 1500);
 
   for (std::uint64_t target : {1499ull, 1217ull, 640ull, 641ull, 639ull,
                                64ull, 65ull, 1ull, 1300ull}) {
-    ASSERT_TRUE(deltaMode->SeekTo(target).ok()) << "target " << target;
-    ASSERT_TRUE(fullMode->SeekTo(target).ok()) << "target " << target;
-    ExpectIdenticalState(*deltaMode, *fullMode,
-                         "seek " + std::to_string(target));
+    ASSERT_TRUE(sim->SeekTo(target).ok()) << "target " << target;
+    ASSERT_TRUE(reference->SeekTo(target).ok()) << "target " << target;
+    ExpectIdenticalState(*sim, *reference, "seek " + std::to_string(target));
   }
 }
 
 TEST(DeltaCheckpoints, RoundTripThroughCodec) {
-  // Delta-mode checkpoints must not interfere with export/import.
-  auto sim = MustCreate(kBranchyMemory, DeltaConfig(true));
+  // Page checkpoints must not interfere with export/import.
+  auto sim = MustCreate(kBranchyMemory, DeltaConfig());
   ASSERT_NE(sim, nullptr);
   StepN(*sim, 700);
   const std::string blob = EncodeSessionBlob(
       *sim, MakeIdentity(*sim, kBranchyMemory, "main", ""));
   auto imported = ImportSessionBlob(blob);
   ASSERT_TRUE(imported.ok()) << imported.error().ToText();
-  ExpectIdenticalState(*sim, *imported.value().sim, "delta-mode import");
+  ExpectIdenticalState(*sim, *imported.value().sim, "page-ring import");
 }
 
-TEST(AdaptiveInterval, GrowsUnderBudgetPressure) {
+TEST(DeltaCheckpoints, StepBackLandsExactlyUnderTightBudget) {
+  // A budget of four memory images against a 16-cycle grid: evictions
+  // thin the ring out, and backward stepping still lands exactly.
   config::CpuConfig config = TestConfig(16);
   config.memory.sizeBytes = 64 * 1024;
-  config.checkpoint.deltaPages = false;
-  config.checkpoint.adaptiveInterval = true;
   config.checkpoint.maxTotalBytes = 4 * config.memory.sizeBytes;
   auto sim = MustCreate(kBranchyMemory, config);
   ASSERT_NE(sim, nullptr);
   StepN(*sim, 2000);
-  // The budget fits a handful of 64 KiB snapshots; a fixed 16-cycle grid
-  // would deposit 125 of them. Adaptive sizing must have stretched the
-  // interval instead of thrashing evictions.
-  EXPECT_GT(sim->checkpoints().effectiveIntervalCycles(), 16u);
-  // Backward stepping still works and still lands exactly.
   ASSERT_TRUE(sim->StepBack().ok());
   auto reference = MustCreate(kBranchyMemory, config);
   ASSERT_NE(reference, nullptr);
   StepN(*reference, 1999);
-  ExpectIdenticalState(*sim, *reference, "adaptive ring");
+  ExpectIdenticalState(*sim, *reference, "tight ring");
 }
 
 // ---- server commands --------------------------------------------------------
@@ -877,10 +1001,11 @@ TEST(DeltaBlob, DeltaImportMatchesFullImportByteIdentically) {
 }
 
 TEST(DeltaBlob, ReExportAfterEitherImportStaysDeltaRestorable) {
-  // Import re-seeds dirty-since-base tracking (precisely for delta, by
-  // page compare for full), so a session that migrated once must still
-  // delta-export from its new home — that is what keeps every later hop
-  // of a multi-migration cheap.
+  // An imported session's memory is described against its own load image
+  // (a delta's pages as shipped, a full image diffed against the base at
+  // decode), so a session that migrated once must still delta-export from
+  // its new home — that is what keeps every later hop of a
+  // multi-migration cheap.
   auto original = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(original, nullptr);
   StepN(*original, 433);
@@ -906,6 +1031,73 @@ TEST(DeltaBlob, ReExportAfterEitherImportStaysDeltaRestorable) {
   }
 }
 
+TEST(DeltaBlob, ExportAfterStepBackShipsOnlyTheRestoredPages) {
+  // A restore adopts the restored state's pages as the dirty set, so a
+  // delta export right after StepBack ships exactly the pages a straight
+  // run to that cycle dirtied — not the whole memory.
+  auto sim = MustCreate(kBranchyMemory, DeltaConfig());
+  auto reference = MustCreate(kBranchyMemory, DeltaConfig());
+  ASSERT_NE(sim, nullptr);
+  ASSERT_NE(reference, nullptr);
+  StepN(*sim, 700);
+  ASSERT_TRUE(sim->StepBack().ok());
+  StepN(*reference, 699);
+
+  const SessionIdentity identity =
+      MakeIdentity(*sim, kBranchyMemory, "main", "");
+  SessionBlobOptions deltaOptions;
+  deltaOptions.delta = true;
+  const std::string delta = EncodeSessionBlob(*sim, identity, deltaOptions);
+  EXPECT_EQ(delta, EncodeSessionBlob(*reference, identity, deltaOptions));
+  const std::vector<std::uint32_t> pages =
+      sim->SaveState().memory.memory.pages;
+  EXPECT_EQ(pages, reference->SaveState().memory.memory.pages);
+  EXPECT_LT(pages.size(), sim->config().memory.sizeBytes /
+                              memory::MainMemory::kPageSizeBytes / 8);
+
+  auto imported = ImportSessionBlob(delta);
+  ASSERT_TRUE(imported.ok()) << imported.error().ToText();
+  ExpectIdenticalState(*reference, *imported.value().sim,
+                       "delta import after StepBack");
+  reference->Run(5'000'000);
+  imported.value().sim->Run(5'000'000);
+  ExpectIdenticalState(*reference, *imported.value().sim, "run to completion");
+}
+
+TEST(DeltaBlob, BlobWithLegacyCheckpointKeysImportsAndContinues) {
+  // Blobs exported before the checkpoint block lost its deltaPages,
+  // fullSnapshotEvery and adaptiveInterval keys embed a configuration
+  // that still carries them: the importer ignores them, and the config
+  // hash (which never covered checkpoint settings) still matches.
+  auto sim = MustCreate(kBranchyMemory, TestConfig());
+  ASSERT_NE(sim, nullptr);
+  StepN(*sim, 433);
+  SessionIdentity identity = MakeIdentity(*sim, kBranchyMemory, "main", "");
+  json::Json configJson = config::ToJson(sim->config());
+  json::Json checkpoint = *configJson.Find("checkpoint");
+  checkpoint.Set("deltaPages", true);
+  checkpoint.Set("fullSnapshotEvery", std::int64_t{16});
+  checkpoint.Set("adaptiveInterval", false);
+  configJson.Set("checkpoint", std::move(checkpoint));
+  identity.configJson = configJson.Dump();
+
+  for (const bool delta : {false, true}) {
+    SessionBlobOptions options;
+    options.delta = delta;
+    auto imported =
+        ImportSessionBlob(EncodeSessionBlob(*sim, identity, options));
+    ASSERT_TRUE(imported.ok()) << imported.error().ToText();
+    core::Simulation& copy = *imported.value().sim;
+    ExpectIdenticalState(*sim, copy, "legacy-keys import");
+    auto original = MustCreate(kBranchyMemory, TestConfig());
+    ASSERT_NE(original, nullptr);
+    StepN(*original, 433);
+    original->Run(5'000'000);
+    copy.Run(5'000'000);
+    ExpectIdenticalState(*original, copy, "legacy-keys run to completion");
+  }
+}
+
 TEST(DeltaBlob, CodecFailsClosedOnBaseMismatch) {
   auto base = MustCreate(kBranchyMemory, TestConfig());
   ASSERT_NE(base, nullptr);
@@ -915,22 +1107,22 @@ TEST(DeltaBlob, CodecFailsClosedOnBaseMismatch) {
 
   const CodecContext encodeContext{&sim->config(), &sim->program()};
   EncodeOptions options;
-  const std::vector<std::uint8_t> dirty =
-      sim->memorySystem().memory().DirtySinceBase();
-  options.deltaPages = &dirty;
+  options.deltaMemory = true;
   options.baseEpoch = sim->memoryBaseEpoch();
-  const std::string blob =
-      EncodeSnapshot(sim->SaveState(), encodeContext, options);
+  const core::SimSnapshot state = sim->SaveState();
+  const std::string blob = EncodeSnapshot(state, encodeContext, options);
 
-  // With the matching base the delta decodes, and reports itself as one.
-  const auto baseBytes = std::as_const(*base).memorySystem().memory().bytes();
+  // With the matching base the delta decodes into exactly its pages, laid
+  // over that base.
   CodecContext withBase{&base->config(), &base->program()};
-  withBase.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseBytes.data()), baseBytes.size());
+  withBase.base = base->memorySystem().memory().base();
   withBase.baseEpoch = base->memoryBaseEpoch();
-  DecodeInfo info;
-  ASSERT_TRUE(DecodeSnapshot(blob, withBase, &info).ok());
-  EXPECT_TRUE(info.deltaMemory);
+  auto decoded = DecodeSnapshot(blob, withBase);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToText();
+  EXPECT_EQ(decoded.value().memory.memory.base, withBase.base);
+  EXPECT_EQ(decoded.value().memory.memory.pages, state.memory.memory.pages);
+  EXPECT_EQ(decoded.value().memory.memory.pageBytes,
+            state.memory.memory.pageBytes);
 
   // A different base epoch fails closed with a clear message.
   CodecContext wrongEpoch = withBase;
@@ -953,17 +1145,13 @@ TEST(DeltaBlob, TruncatedAndCorruptedDeltaBlobsAlwaysError) {
 
   const CodecContext encodeContext{&sim->config(), &sim->program()};
   EncodeOptions options;
-  const std::vector<std::uint8_t> dirty =
-      sim->memorySystem().memory().DirtySinceBase();
-  options.deltaPages = &dirty;
+  options.deltaMemory = true;
   options.baseEpoch = sim->memoryBaseEpoch();
   const std::string blob =
       EncodeSnapshot(sim->SaveState(), encodeContext, options);
 
-  const auto baseBytes = std::as_const(*base).memorySystem().memory().bytes();
   CodecContext context{&base->config(), &base->program()};
-  context.baseMemory = std::string_view(
-      reinterpret_cast<const char*>(baseBytes.data()), baseBytes.size());
+  context.base = base->memorySystem().memory().base();
   context.baseEpoch = base->memoryBaseEpoch();
   ASSERT_TRUE(DecodeSnapshot(blob, context).ok());
 
