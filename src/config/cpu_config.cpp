@@ -236,10 +236,6 @@ json::Json ToJson(const CpuConfig& config) {
                  static_cast<std::int64_t>(config.checkpoint.intervalCycles));
   checkpoint.Set("maxTotalBytes",
                  static_cast<std::int64_t>(config.checkpoint.maxTotalBytes));
-  checkpoint.Set("deltaPages", config.checkpoint.deltaPages);
-  checkpoint.Set("fullSnapshotEvery",
-                 static_cast<std::int64_t>(config.checkpoint.fullSnapshotEvery));
-  checkpoint.Set("adaptiveInterval", config.checkpoint.adaptiveInterval);
   root.Set("checkpoint", std::move(checkpoint));
 
   root.Set("trapOnDivZero", config.trapOnDivZero);
@@ -359,11 +355,6 @@ Result<CpuConfig> CpuConfigFromJson(const json::Json& node) {
         "intervalCycles", static_cast<std::int64_t>(k.intervalCycles)));
     k.maxTotalBytes = static_cast<std::uint64_t>(checkpoint->GetInt(
         "maxTotalBytes", static_cast<std::int64_t>(k.maxTotalBytes)));
-    k.deltaPages = checkpoint->GetBool("deltaPages", k.deltaPages);
-    k.fullSnapshotEvery = static_cast<std::uint64_t>(checkpoint->GetInt(
-        "fullSnapshotEvery", static_cast<std::int64_t>(k.fullSnapshotEvery)));
-    k.adaptiveInterval =
-        checkpoint->GetBool("adaptiveInterval", k.adaptiveInterval);
   }
 
   config.trapOnDivZero = node.GetBool("trapOnDivZero", config.trapOnDivZero);

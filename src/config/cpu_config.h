@@ -103,25 +103,12 @@ struct MemoryConfig {
 /// Backward-simulation checkpointing (not a paper tab; powers the O(K)
 /// StepBack/scrubbing path instead of the paper's re-execution from reset).
 struct CheckpointConfig {
-  /// Cycles between automatic snapshots; 0 disables checkpointing and falls
-  /// back to the paper's full re-execution.
+  /// Cycles between automatic snapshots; 0 turns them off, and backward
+  /// steps fall back to the paper's re-execution from cycle 0.
   std::uint64_t intervalCycles = 1024;
   /// Memory budget for the per-simulation checkpoint ring; the oldest
-  /// non-base checkpoints are evicted beyond this.
+  /// checkpoints but the origin are evicted beyond this.
   std::uint64_t maxTotalBytes = 64ull * 1024 * 1024;
-  /// Store page-delta checkpoints (only the 4 KiB memory pages dirtied
-  /// since the last full snapshot) between full snapshots. Memory images
-  /// dominate snapshot size, so this shrinks the ring 5-100x on typical
-  /// workloads and allows denser intervals.
-  bool deltaPages = true;
-  /// Every Nth checkpoint is a full snapshot (delta chains patch the most
-  /// recent full one). Higher values compress better but pin the full
-  /// snapshot longer. Must be >= 1; 1 means every checkpoint is full.
-  std::uint64_t fullSnapshotEvery = 16;
-  /// Grow the effective checkpoint interval (doubling, up to 1024x) when
-  /// observed bytes/checkpoint exceed the byte budget, instead of churning
-  /// the ring through evictions.
-  bool adaptiveInterval = false;
 };
 
 /// Paper tab 6 ("Branch prediction").

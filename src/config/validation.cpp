@@ -160,8 +160,6 @@ std::vector<Error> Validate(const CpuConfig& config) {
   // manual saveCheckpoint requests still deposit into the ring.
   Check(errors, k.maxTotalBytes <= (1ull << 30),
         "checkpoint maxTotalBytes above 1 GiB is not supported");
-  Check(errors, k.fullSnapshotEvery >= 1 && k.fullSnapshotEvery <= 1024,
-        "checkpoint fullSnapshotEvery must be in [1, 1024]");
 
   const PredictorConfig& p = config.predictor;
   Check(errors, IsPowerOfTwo(p.btbSize), "btbSize must be a power of two");

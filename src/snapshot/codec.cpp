@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "json/json.h"
 #include "memory/main_memory.h"
 #include "snapshot/wire.h"
 
@@ -286,10 +287,19 @@ std::uint64_t ConfigHash(const config::CpuConfig& config) {
   // Checkpoint settings and the display name tune ring behaviour and UI
   // labels, not simulation state, so they are normalized out: a server may
   // clamp a session's checkpoint budget on import without breaking blobs.
+  // The checkpoint block is replaced by the constant every hash was
+  // recorded with — the defaults of the five keys it once had — so blobs
+  // exported before three of them were retired still import.
+  static const json::Json kLegacyCheckpointDefaults =
+      json::Parse(R"({"intervalCycles":1024,"maxTotalBytes":67108864,)"
+                  R"("deltaPages":true,"fullSnapshotEvery":16,)"
+                  R"("adaptiveInterval":false})")
+          .value();
   config::CpuConfig normalized = config;
-  normalized.checkpoint = config::CheckpointConfig{};
   normalized.name.clear();
-  return Fnv1a(config::ToJson(normalized).Dump());
+  json::Json document = config::ToJson(normalized);
+  document.Set("checkpoint", kLegacyCheckpointDefaults);
+  return Fnv1a(document.Dump());
 }
 
 std::uint64_t ProgramHash(const assembler::Program& program) {
