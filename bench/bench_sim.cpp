@@ -83,7 +83,8 @@ Totals RunInterleaved() {
     totals.issSeconds += bench::SecondsSince(start);
     totals.issInstructions += iss.stats().executedInstructions - before;
     if (reason == ref::ExitReason::kMainReturned) {
-      iss.InitRegisters(loaded.value().initialSp);  // the loop only uses registers
+      // The loop keeps its state in registers: restarting needs no reload.
+      iss.InitRegisters(loaded.value().initialSp);
     } else if (reason != ref::ExitReason::kRunning) {
       std::fprintf(stderr, "ISS stopped: %s\n", ref::ToString(reason));
       return totals;

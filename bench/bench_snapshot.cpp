@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
   const std::size_t wholeBytes =
       ring.checkpointCount() *
       (whole.SizeBytes() + simulation.config().memory.sizeBytes);
-  std::printf("\n# checkpoint ring after 20k cycles (interval 256, 1 GiB budget)\n");
+  std::printf(
+      "\n# checkpoint ring after 20k cycles (interval 256, 1 GiB budget)\n");
   std::printf("%-22s %12zu\n", "checkpoints", ring.checkpointCount());
   std::printf("%-22s %12zu bytes (%zu per checkpoint)\n", "ring",
               ring.totalBytes(), ring.totalBytes() / ring.checkpointCount());

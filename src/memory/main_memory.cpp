@@ -74,7 +74,8 @@ constexpr std::uint32_t kPage = MainMemory::kPageSizeBytes;
 std::span<const std::uint8_t> PageOf(std::span<const std::uint8_t> image,
                                      std::size_t page) {
   const std::size_t offset = page * kPage;
-  return image.subspan(offset, std::min<std::size_t>(kPage, image.size() - offset));
+  return image.subspan(offset,
+                       std::min<std::size_t>(kPage, image.size() - offset));
 }
 
 /// Page `page` of `base` (all zeros when null) in an image of `size` bytes.
@@ -90,9 +91,10 @@ std::span<const std::uint8_t> BasePage(const MainMemory::Image& base,
 void Overlay(const MainMemory::State& state, std::span<std::uint8_t> out) {
   for (std::size_t i = 0; i < state.pages.size(); ++i) {
     const std::size_t offset = std::size_t{state.pages[i]} * kPage;
-    std::copy_n(state.pageBytes.begin() + static_cast<std::ptrdiff_t>(i * kPage),
-                std::min<std::size_t>(kPage, out.size() - offset),
-                out.begin() + static_cast<std::ptrdiff_t>(offset));
+    std::copy_n(
+        state.pageBytes.begin() + static_cast<std::ptrdiff_t>(i * kPage),
+        std::min<std::size_t>(kPage, out.size() - offset),
+        out.begin() + static_cast<std::ptrdiff_t>(offset));
   }
 }
 

@@ -633,14 +633,18 @@ Result<core::SimSnapshot> DecodeSnapshot(std::string_view blob,
       return std::any_of(container.begin(), container.end(),
                          [&inRob](core::Slot slot) { return !inRob[slot]; });
     };
+    const auto sharedFetch = [&holders](core::Slot slot) {
+      return holders[slot] > 1;
+    };
     if (std::any_of(pipeline.fetchQueue.begin(), pipeline.fetchQueue.end(),
-                    [&holders](core::Slot slot) { return holders[slot] > 1; })) {
+                    sharedFetch)) {
       return CodecError("fetch-queue entry also held by another container");
     }
     if (outsideRob(pipeline.loadBuffer) ||
         std::any_of(pipeline.windows.begin(), pipeline.windows.end(),
                     outsideRob)) {
-      return CodecError("issue-window or load-buffer entry missing from the ROB");
+      return CodecError(
+          "issue-window or load-buffer entry missing from the ROB");
     }
   }
   const std::uint32_t fuCount = r.Count(8);

@@ -452,7 +452,9 @@ std::vector<std::uint32_t> WireNumbering(const core::PipelineState& pipeline) {
   std::uint32_t next = 0;
   const auto visit = [&](const auto& container) {
     for (const core::Slot slot : container) {
-      if (slot != core::kNoSlot && wire[slot] == 0xffffffffu) wire[slot] = next++;
+      if (slot != core::kNoSlot && wire[slot] == 0xffffffffu) {
+        wire[slot] = next++;
+      }
     }
   };
   visit(pipeline.fetchQueue);
@@ -496,8 +498,9 @@ TEST(SnapshotCodec, RejectsFetchQueueEntryAnotherContainerHolds) {
     const auto& units = sim->pipeline().fuCurrent;
     return std::find(units.begin(), units.end(), core::kNoSlot);
   };
-  for (int step = 0; step < 2000 && (sim->pipeline().fetchQueue.empty() ||
-                                     idleUnit() == sim->pipeline().fuCurrent.end());
+  for (int step = 0;
+       step < 2000 && (sim->pipeline().fetchQueue.empty() ||
+                       idleUnit() == sim->pipeline().fuCurrent.end());
        ++step) {
     sim->Step();
   }
